@@ -8,7 +8,7 @@
 //! dispatches it, and notifies the policy via
 //! [`AdmissionPolicy::admitted`] so virtual-time bookkeeping can advance.
 //!
-//! Three policies ship in-tree:
+//! Two policies ship in-tree:
 //!
 //! * [`Fifo`] — global arrival order, tenant-blind. The baseline: a
 //!   large batch backlog starves small latency-sensitive tenants.
@@ -18,9 +18,6 @@
 //!   Idle tenants re-enter at the current virtual clock (no credit
 //!   hoarding), so a latency-sensitive tenant submitting occasionally
 //!   always schedules near the front regardless of batch backlog depth.
-//! * [`StrictPriority`] — highest [`TenantConfig::priority`] wins, FIFO
-//!   within a level. Starvation of low-priority tenants is accepted by
-//!   construction.
 //!
 //! Policies are `Send` objects owned by the fleet's state lock; they may
 //! keep internal bookkeeping without further synchronization.
@@ -64,7 +61,7 @@ impl From<String> for TenantId {
     }
 }
 
-/// Per-tenant configuration: fairness inputs (weight, priority) and
+/// Per-tenant configuration: the fairness weight and
 /// quotas (in-flight cap, queue bound, GPU-time budget).
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
@@ -72,9 +69,6 @@ pub struct TenantConfig {
     /// quarter of the rate of a weight-1 tenant for equal work, so it is
     /// scheduled four times as often. Clamped to at least 1.
     pub weight: u32,
-    /// Strict-priority level (higher runs first under
-    /// [`StrictPriority`]; ignored by the other policies).
-    pub priority: u8,
     /// Maximum submissions of this tenant in flight at once; further
     /// submissions park in the tenant's queue (backpressure, not an
     /// error).
@@ -92,7 +86,6 @@ impl Default for TenantConfig {
     fn default() -> Self {
         Self {
             weight: 1,
-            priority: 0,
             max_inflight: usize::MAX,
             max_queued: 1024,
             gpu_ns_budget: None,
@@ -110,8 +103,6 @@ pub struct LaneView<'a> {
     pub tenant: &'a str,
     /// Weighted-fair share (≥ 1).
     pub weight: u32,
-    /// Strict-priority level.
-    pub priority: u8,
     /// Submissions waiting in this lane (including the head).
     pub queued: usize,
     /// Submissions of this tenant currently in flight.
@@ -213,41 +204,14 @@ impl AdmissionPolicy for WeightedFair {
     }
 }
 
-/// Highest [`TenantConfig::priority`] first; FIFO within a level.
-/// Low-priority starvation under sustained high-priority load is the
-/// intended semantics.
-#[derive(Debug, Default)]
-pub struct StrictPriority;
-
-impl AdmissionPolicy for StrictPriority {
-    fn name(&self) -> &'static str {
-        "strict_priority"
-    }
-
-    fn pick(&mut self, lanes: &[LaneView<'_>]) -> Option<usize> {
-        lanes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (std::cmp::Reverse(l.priority), l.head_seq))
-            .map(|(i, _)| i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lane<'a>(
-        tenant: &'a str,
-        weight: u32,
-        priority: u8,
-        head_seq: u64,
-        head_cost_ns: u64,
-    ) -> LaneView<'a> {
+    fn lane(tenant: &str, weight: u32, head_seq: u64, head_cost_ns: u64) -> LaneView<'_> {
         LaneView {
             tenant,
             weight,
-            priority,
             queued: 1,
             inflight: 0,
             head_seq,
@@ -258,17 +222,7 @@ mod tests {
     #[test]
     fn fifo_picks_oldest() {
         let mut p = Fifo;
-        let lanes = [lane("a", 1, 0, 9, 100), lane("b", 1, 0, 3, 100)];
-        assert_eq!(p.pick(&lanes), Some(1));
-    }
-
-    #[test]
-    fn strict_priority_beats_age() {
-        let mut p = StrictPriority;
-        let lanes = [lane("old", 1, 0, 1, 100), lane("urgent", 1, 7, 50, 100)];
-        assert_eq!(p.pick(&lanes), Some(1));
-        // Same priority falls back to arrival order.
-        let lanes = [lane("a", 1, 3, 8, 100), lane("b", 1, 3, 2, 100)];
+        let lanes = [lane("a", 1, 9, 100), lane("b", 1, 3, 100)];
         assert_eq!(p.pick(&lanes), Some(1));
     }
 
@@ -279,19 +233,19 @@ mod tests {
         // SFQ must schedule the small tenant ahead of the remaining
         // backlog rather than behind all of it.
         let mut p = WeightedFair::new();
-        let b = lane("batch", 1, 0, 0, 1000);
+        let b = lane("batch", 1, 0, 1000);
         assert_eq!(p.pick(&[b]), Some(0));
-        p.admitted(&lane("batch", 1, 0, 0, 1000), 1000);
+        p.admitted(&lane("batch", 1, 0, 1000), 1000);
 
         // Small tenant shows up: its start tag is the current vclock,
         // batch's is its finish tag (1000) — small wins.
-        let lanes = [lane("batch", 1, 0, 1, 1000), lane("small", 4, 0, 10, 100)];
+        let lanes = [lane("batch", 1, 1, 1000), lane("small", 4, 10, 100)];
         assert_eq!(p.pick(&lanes), Some(1));
         p.admitted(&lanes[1], 100);
 
         // Small's finish advanced only by cost/weight = 25; it keeps
         // winning until its virtual time catches the backlog's.
-        let lanes = [lane("batch", 1, 0, 1, 1000), lane("small", 4, 0, 11, 100)];
+        let lanes = [lane("batch", 1, 1, 1000), lane("small", 4, 11, 100)];
         assert_eq!(p.pick(&lanes), Some(1));
     }
 
@@ -302,7 +256,7 @@ mod tests {
         let mut p = WeightedFair::new();
         let mut counts = (0u32, 0u32);
         for seq in 0..400u64 {
-            let lanes = [lane("heavy", 3, 0, seq, 300), lane("light", 1, 0, seq, 300)];
+            let lanes = [lane("heavy", 3, seq, 300), lane("light", 1, seq, 300)];
             let i = p.pick(&lanes).unwrap();
             p.admitted(&lanes[i], 300);
             if i == 0 {

@@ -6,63 +6,32 @@
 //! task kind — tasks are uniform closures — and GPU tasks are scoped to
 //! their assigned device via an RAII context (Listing 13).
 //!
-//! The scheduling loop follows §III-C: after device placement, workers
-//! drain their local Chase–Lev deque and become *thieves* stealing from
-//! random victims when empty. The adaptive strategy keeps "one thief
-//! alive as long as an active worker is running a task"; otherwise idle
-//! workers sleep on an eventcount.
+//! The executor is split by layer:
 //!
-//! The hot path is engineered to stay allocation- and lock-free in steady
-//! state:
-//!
-//! * queued work items are packed `(topology-slot, node)` integer tokens
-//!   resolved through a lock-free slot registry — no per-task `Box`;
-//! * the shared inbox is a lock-free segmented [`Injector`] with batch
-//!   push/pop instead of a `Mutex<VecDeque>`;
-//! * releasing successors batches all newly-ready nodes into one injector
-//!   spray plus one coalesced `notify_n` wakeup;
-//! * re-running an unchanged graph reuses the cached freeze + placement +
-//!   fusion plan (see [`crate::graph::SchedCache`]).
+//! * this module — the builder, the [`Executor`] API, the shared
+//!   executor state, and the submission preamble (`plan_for`: freeze,
+//!   lint gate, placement, fusion, scheduling cache);
+//! * `sched` — work tokens, the topology registry, the worker
+//!   loop, stealing, and batched successor release (§III-C);
+//! * `gpu_dispatch` — fused GPU chain dispatch and the one
+//!   host↔device copy path;
+//! * `recovery` — failure handling: retries and device failover.
 
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, Heteroflow, SchedCache, TaskKind, Work};
+use crate::graph::{FrozenGraph, Heteroflow, SchedCache, Work};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
-use crate::observer::{ExecutorObserver, TaskMeta};
+use crate::observer::ExecutorObserver;
 use crate::placement::PlacementPolicy;
-use crate::retry::{OnDeviceLoss, RetryPolicy};
+use crate::retry::RetryPolicy;
+use crate::sched::{Token, TopoRegistry, Worker};
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
-use crate::data::{HostSink, HostSource};
-use hf_gpu::{
-    Device, DevicePtr, Event, FaultSite, GpuConfig, GpuError, GpuRuntime, KernelArgs,
-    LaunchConfig, OpReport, ScopedDeviceContext, Stream,
-};
+use hf_gpu::{GpuConfig, GpuRuntime};
 use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A schedulable unit, packed into one integer: the topology's registry
-/// slot in the high 32 bits, the node index in the low 32. Tokens are
-/// `Copy` and carry no ownership, so pushing work touches no allocator.
-pub(crate) type Token = u64;
-
-#[inline]
-fn pack(slot: u32, node: usize) -> Token {
-    debug_assert!(node <= u32::MAX as usize);
-    ((slot as u64) << 32) | node as u64
-}
-
-#[inline]
-fn unpack(token: Token) -> (u32, usize) {
-    ((token >> 32) as u32, (token & 0xFFFF_FFFF) as usize)
-}
-
-/// Newly-ready nodes are dispatched in chunks of this size: one chunk is
-/// one injector spray and one coalesced wakeup.
-const RELEASE_BATCH: usize = 32;
 
 /// Default byte size above which H2D/D2H transfers are chunked across
 /// copy-lane streams. Large enough that typical test graphs stay on the
@@ -71,136 +40,6 @@ const DEFAULT_COPY_CHUNK_THRESHOLD: usize = 1 << 20;
 
 /// Default number of copy-lane streams per (worker, device).
 const DEFAULT_COPY_LANES: usize = 2;
-
-/// Tokens a thief claims from the injector in one batched pop; extras are
-/// banked in its local deque.
-const STEAL_BATCH: usize = 16;
-
-/// First registry segment size; segment `i` holds `SEG0 << i` slots.
-const SEG0: usize = 64;
-/// Segment count: `64 * (2^26 - 1)` slots covers every packable id.
-const SEGS: usize = 26;
-
-/// Lock-free registry mapping slot ids to in-flight topologies.
-///
-/// Registration/deregistration (once per submission) take a mutex; token
-/// resolution on the execute path is two atomic loads plus a refcount
-/// bump. Slots live in lazily-allocated, geometrically-growing segments
-/// published through a fixed directory, so resolution never races a
-/// reallocation.
-///
-/// Safety invariant: a slot's strong reference is released only in
-/// `deregister`, which the executor calls after the topology's last round
-/// fully drained — at that point no token referencing the slot exists in
-/// any deque or the injector, so resolution never observes a freed slot.
-pub(crate) struct TopoRegistry {
-    /// Directory of segments; entry `i` points at `SEG0 << i` slots.
-    segments: [AtomicPtr<AtomicPtr<Topology>>; SEGS],
-    alloc: Mutex<RegistryAlloc>,
-}
-
-#[derive(Default)]
-struct RegistryAlloc {
-    free: Vec<u32>,
-    next: u32,
-}
-
-/// Segment index, slot offset within it, and segment length for a slot id.
-#[inline]
-fn locate(slot: u32) -> (usize, usize, usize) {
-    let x = slot / SEG0 as u32 + 1;
-    let seg = (31 - x.leading_zeros()) as usize;
-    let start = SEG0 * ((1usize << seg) - 1);
-    (seg, slot as usize - start, SEG0 << seg)
-}
-
-impl TopoRegistry {
-    fn new() -> Self {
-        Self {
-            segments: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            alloc: Mutex::new(RegistryAlloc::default()),
-        }
-    }
-
-    /// Assigns a slot to `topo`, stores a strong reference in it, and
-    /// records the slot id in `topo.slot`.
-    pub(crate) fn register(&self, topo: &Arc<Topology>) -> u32 {
-        let mut a = self.alloc.lock();
-        let slot = a.free.pop().unwrap_or_else(|| {
-            let s = a.next;
-            a.next = a.next.checked_add(1).expect("registry slot ids exhausted");
-            s
-        });
-        let (seg, off, len) = locate(slot);
-        let mut seg_ptr = self.segments[seg].load(Ordering::Acquire);
-        if seg_ptr.is_null() {
-            let boxed: Box<[AtomicPtr<Topology>]> = (0..len)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect();
-            seg_ptr = Box::into_raw(boxed) as *mut AtomicPtr<Topology>;
-            self.segments[seg].store(seg_ptr, Ordering::Release);
-        }
-        let ptr = Arc::into_raw(Arc::clone(topo)) as *mut Topology;
-        // Safety: `off < len` by construction and the segment was just
-        // published (or already was); only this mutex-holding thread
-        // writes a null slot.
-        unsafe { (*seg_ptr.add(off)).store(ptr, Ordering::Release) };
-        topo.slot.store(slot, Ordering::Release);
-        slot
-    }
-
-    /// Resolves a token's slot to its topology. Lock-free.
-    pub(crate) fn resolve(&self, slot: u32) -> Arc<Topology> {
-        let (seg, off, _) = locate(slot);
-        let seg_ptr = self.segments[seg].load(Ordering::Acquire);
-        debug_assert!(!seg_ptr.is_null(), "token for unregistered segment");
-        // Safety: tokens only exist between register and deregister (see
-        // the struct invariant), so the segment exists and the slot holds
-        // a live strong reference we can borrow a count from.
-        unsafe {
-            let ptr = (*seg_ptr.add(off)).load(Ordering::Acquire);
-            debug_assert!(!ptr.is_null(), "token for unregistered topology");
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
-    }
-
-    /// Releases a slot's strong reference and recycles the id.
-    pub(crate) fn deregister(&self, slot: u32) {
-        let (seg, off, _) = locate(slot);
-        let seg_ptr = self.segments[seg].load(Ordering::Acquire);
-        let ptr = unsafe { (*seg_ptr.add(off)).swap(std::ptr::null_mut(), Ordering::AcqRel) };
-        if !ptr.is_null() {
-            // Safety: ownership of the registration count transfers here.
-            unsafe { drop(Arc::from_raw(ptr)) };
-        }
-        self.alloc.lock().free.push(slot);
-    }
-}
-
-impl Drop for TopoRegistry {
-    fn drop(&mut self) {
-        for (i, seg) in self.segments.iter().enumerate() {
-            let seg_ptr = seg.load(Ordering::Acquire);
-            if seg_ptr.is_null() {
-                continue;
-            }
-            let len = SEG0 << i;
-            // Safety: reconstructs the Box created in `register`; any
-            // still-registered topology (defensive — normally none) drops
-            // its strong count with the slots.
-            unsafe {
-                let slots = Box::from_raw(std::ptr::slice_from_raw_parts_mut(seg_ptr, len));
-                for s in slots.iter() {
-                    let p = s.load(Ordering::Acquire);
-                    if !p.is_null() {
-                        drop(Arc::from_raw(p));
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Executor identities for keying per-graph scheduling caches.
 static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
@@ -252,8 +91,6 @@ pub(crate) struct ExecInner {
     /// focus device: those deques hold tasks whose data is most likely
     /// resident where the thief's streams already live.
     pub(crate) worker_focus: Vec<AtomicU64>,
-    /// Pin worker `i` to CPU core `i % cores` (feature `core_affinity`).
-    pub(crate) pin_workers: bool,
     /// Submission ids handed to topologies/futures and stamped onto
     /// lifecycle events (starts at 1; 0 is reserved for ready futures).
     pub(crate) run_seq: AtomicU64,
@@ -271,7 +108,7 @@ impl ExecInner {
     /// Records one executed task's modeled duration into the cost
     /// database (locality policy only; other policies skip the feedback
     /// loop entirely so their hot path is unchanged).
-    fn observe_cost(&self, graph: &str, task: &str, nanos: f64) {
+    pub(crate) fn observe_cost(&self, graph: &str, task: &str, nanos: f64) {
         if self.locality() {
             self.cost_db.observe(graph, task, nanos);
         }
@@ -286,144 +123,124 @@ impl ExecInner {
         }
     }
 
+    /// The devices' cost model (placement input).
+    pub(crate) fn cost_model(&self) -> hf_gpu::CostModel {
+        self.gpu
+            .devices()
+            .first()
+            .map(|d| d.cost_model())
+            .unwrap_or_default()
+    }
+
+    /// Per-device lost flags. Each newly lost device is counted once in
+    /// the `devices_lost` stat.
+    pub(crate) fn note_lost_devices(&self) -> Vec<bool> {
+        let lost: Vec<bool> = self.gpu.devices().iter().map(|d| d.is_lost()).collect();
+        for (d, &l) in lost.iter().enumerate() {
+            if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
+                self.stats.devices_lost.incr();
+            }
+        }
+        lost
+    }
+
     /// Lifecycle fast-path gate: `true` only when at least one registered
     /// observer is active. With no observers (or all inactive) every
     /// lifecycle emission site reduces to this check — no event is
     /// constructed, no timestamp taken, nothing allocated.
     #[inline]
-    fn lc_active(&self) -> bool {
+    pub(crate) fn lc_active(&self) -> bool {
         !self.observers.is_empty() && self.observers.iter().any(|o| o.is_active())
     }
 
-    /// Emits a task-level lifecycle event to every observer. Internally
-    /// gated on [`ExecInner::lc_active`], so call sites need no guard
-    /// (loops over chains may still hoist the check).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_task_lc(
+    /// Stamps `ev` and sends it to every observer; callers check
+    /// [`ExecInner::lc_active`] before building it. Stamping last keeps
+    /// the timestamps of events recorded from different threads in
+    /// recording order as far as possible.
+    pub(crate) fn emit(&self, mut ev: LifecycleEvent) {
+        ev.t_ns = lifecycle_now_ns();
+        for o in &self.observers {
+            o.on_lifecycle(&ev);
+        }
+    }
+
+    /// Emits a task-level lifecycle event to every observer. `outcome` is
+    /// `Ok` for a successful transition and `Err` (with the error, when
+    /// there is one) otherwise. Internally gated on
+    /// [`ExecInner::lc_active`], so call sites need no guard (loops over
+    /// chains may still hoist the check).
+    pub(crate) fn emit_task_lc(
         &self,
         topo: &Topology,
         phase: LifecyclePhase,
         node: usize,
         worker: Option<u32>,
         chain: Option<u32>,
-        ok: bool,
-        detail: Option<&HfError>,
+        outcome: Result<(), Option<&HfError>>,
     ) {
         if !self.lc_active() {
             return;
         }
         let nd = &topo.frozen.nodes[node];
-        let ev = LifecycleEvent {
-            run_id: topo.run_id,
-            graph: Arc::clone(&topo.graph_label),
-            phase,
-            task: Some(node as u32),
-            name: Arc::from(nd.name.as_str()),
-            kind: Some(nd.work.kind()),
-            device: topo.placement().device_of[node],
-            worker,
-            chain,
-            bytes: node_move_bytes(&topo.frozen, node),
-            ok,
-            detail: detail.map(|e| Arc::from(e.to_string().as_str())),
-            epoch: topo.epoch,
-            tenant: topo.tenant.clone(),
-            t_ns: lifecycle_now_ns(),
-        };
-        for o in &self.observers {
-            o.on_lifecycle(&ev);
-        }
-    }
-
-    /// Emits a run-level lifecycle event for a topology
-    /// (`Failover`/`EpochEnd`).
-    fn emit_run_lc(
-        &self,
-        topo: &Topology,
-        phase: LifecyclePhase,
-        ok: bool,
-        detail: Option<&HfError>,
-    ) {
-        self.emit_raw_run_lc(
+        let mut ev = LifecycleEvent::new(
             topo.run_id,
             &topo.graph_label,
             phase,
-            ok,
-            detail,
             topo.epoch,
             topo.tenant.as_ref(),
         );
+        ev.task = Some(node as u32);
+        ev.name = Arc::from(nd.name.as_str());
+        ev.kind = Some(nd.work.kind());
+        ev.device = topo.placement().device_of[node];
+        ev.worker = worker;
+        ev.chain = chain;
+        ev.bytes = node_move_bytes(&topo.frozen, node);
+        ev.ok = outcome.is_ok();
+        ev.detail = outcome
+            .err()
+            .flatten()
+            .map(|e| Arc::from(e.to_string().as_str()));
+        self.emit(ev);
     }
 
-    /// Emits a run-level lifecycle event without a topology in hand — the
-    /// drivers and sessions use this for `RunStart`/`RunEnd` (which now
-    /// bracket a whole submission, not one epoch topology) and
-    /// `EpochStart` (emitted at admission, before the epoch's topology
-    /// exists in the registry).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_raw_run_lc(
+    /// Emits a run-level lifecycle event: `RunStart`/`RunEnd` (bracketing
+    /// a whole submission) and `EpochStart`/`EpochEnd`.
+    pub(crate) fn emit_run_lc(
         &self,
         run_id: u64,
         label: &Arc<str>,
         phase: LifecyclePhase,
-        ok: bool,
-        detail: Option<&HfError>,
         epoch: Option<u64>,
         tenant: Option<&Arc<str>>,
+        result: Result<&(), &HfError>,
     ) {
         if !self.lc_active() {
             return;
         }
-        let ev = LifecycleEvent {
-            run_id,
-            graph: Arc::clone(label),
-            phase,
-            task: None,
-            name: Arc::clone(label),
-            kind: None,
-            device: None,
-            worker: None,
-            chain: None,
-            bytes: 0,
-            ok,
-            detail: detail.map(|e| Arc::from(e.to_string().as_str())),
-            epoch,
-            tenant: tenant.cloned(),
-            t_ns: lifecycle_now_ns(),
-        };
-        for o in &self.observers {
-            o.on_lifecycle(&ev);
-        }
+        let mut ev = LifecycleEvent::new(run_id, label, phase, epoch, tenant);
+        ev.ok = result.is_ok();
+        ev.detail = result.err().map(|e| Arc::from(e.to_string().as_str()));
+        self.emit(ev);
     }
 
     /// Emits one run-level [`LifecyclePhase::Lint`] event per diagnostic
     /// in `report`, right after `RunStart`. `ok` is `false` for
     /// Error-severity findings; `detail` carries the rendered diagnostic.
-    pub(crate) fn emit_lint_lc(&self, run_id: u64, label: &Arc<str>, report: &crate::analyze::Report) {
+    pub(crate) fn emit_lint_lc(
+        &self,
+        run_id: u64,
+        label: &Arc<str>,
+        report: &crate::analyze::Report,
+    ) {
         if !self.lc_active() {
             return;
         }
         for d in &report.diagnostics {
-            let ev = LifecycleEvent {
-                run_id,
-                graph: Arc::clone(label),
-                phase: LifecyclePhase::Lint,
-                task: None,
-                name: Arc::clone(label),
-                kind: None,
-                device: None,
-                worker: None,
-                chain: None,
-                bytes: 0,
-                ok: d.severity != crate::analyze::Severity::Error,
-                detail: Some(Arc::from(d.render().as_str())),
-                epoch: None,
-                tenant: None,
-                t_ns: lifecycle_now_ns(),
-            };
-            for o in &self.observers {
-                o.on_lifecycle(&ev);
-            }
+            let mut ev = LifecycleEvent::new(run_id, label, LifecyclePhase::Lint, None, None);
+            ev.ok = d.severity != crate::analyze::Severity::Error;
+            ev.detail = Some(Arc::from(d.render().as_str()));
+            self.emit(ev);
         }
     }
 
@@ -488,16 +305,6 @@ pub(crate) struct ExecPlan {
     pub(crate) lint_report: Option<Arc<crate::analyze::Report>>,
 }
 
-/// What [`ExecInner::failure_action`] decided about a failed task body.
-enum FailureAction {
-    /// Re-dispatch the node after the given backoff.
-    Retry(Duration),
-    /// Request a device failover; the round drains and replays.
-    Failover,
-    /// Fail the run with the error.
-    Fail,
-}
-
 /// Builder for [`Executor`] with non-default GPU configuration, placement
 /// policy, or scheduling knobs.
 pub struct ExecutorBuilder {
@@ -513,7 +320,6 @@ pub struct ExecutorBuilder {
     retry: RetryPolicy,
     copy_chunk_threshold: usize,
     copy_lanes: usize,
-    pin_workers: bool,
     lint: LintPolicy,
 }
 
@@ -545,7 +351,6 @@ impl ExecutorBuilder {
             retry: RetryPolicy::default(),
             copy_chunk_threshold: DEFAULT_COPY_CHUNK_THRESHOLD,
             copy_lanes: DEFAULT_COPY_LANES,
-            pin_workers: false,
             lint: LintPolicy::default(),
         }
     }
@@ -555,16 +360,6 @@ impl ExecutorBuilder {
     /// [`LintPolicy`] and [`crate::Heteroflow::analyze`].
     pub fn lint_policy(mut self, policy: LintPolicy) -> Self {
         self.lint = policy;
-        self
-    }
-
-    /// Pins worker thread `i` to CPU core `i % available_cores` on spawn,
-    /// keeping each worker's cache and NUMA locality stable across its
-    /// lifetime (default off). Pinning requires the `core_affinity`
-    /// feature on Linux/x86-64; elsewhere the knob is accepted but
-    /// pinning is a no-op.
-    pub fn pin_workers(mut self, on: bool) -> Self {
-        self.pin_workers = on;
         self
     }
 
@@ -689,7 +484,6 @@ impl ExecutorBuilder {
             copy_lanes: self.copy_lanes,
             cost_db: crate::costmodel::CostDb::new(),
             worker_focus: (0..cpus).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            pin_workers: self.pin_workers,
             run_seq: AtomicU64::new(0),
             lint: self.lint,
         });
@@ -840,7 +634,7 @@ impl Executor {
     }
 
     /// Opens a resident streaming session on the graph with the default
-    /// [`StreamConfig`] (in-flight depth 2). The returned
+    /// [`crate::StreamConfig`] (in-flight depth 2). The returned
     /// [`crate::Session`] keeps the frozen snapshot, placement, and
     /// double-buffered device residency resident across epochs;
     /// [`crate::Session::submit`] enqueues the next epoch while prior
@@ -850,7 +644,7 @@ impl Executor {
         self.run_stream_with(hf, crate::stream::StreamConfig::default())
     }
 
-    /// [`Executor::run_stream`] with an explicit [`StreamConfig`]
+    /// [`Executor::run_stream`] with an explicit [`crate::StreamConfig`]
     /// (in-flight epoch depth / residency ring size).
     pub fn run_stream_with(
         &self,
@@ -890,20 +684,15 @@ impl Executor {
         // cross-graph load bias) may reference dead hardware, so bypass
         // the cache in both directions and place directly against the
         // surviving device set.
-        let lost: Vec<bool> = self.gpu.devices().iter().map(|d| d.is_lost()).collect();
+        let lost = inner.note_lost_devices();
         if lost.iter().any(|&l| l) {
-            for (d, &l) in lost.iter().enumerate() {
-                if l && !inner.lost_seen[d].swap(true, Ordering::Relaxed) {
-                    inner.stats.devices_lost.incr();
-                }
-            }
             inner.stats.topo_cache_misses.incr();
             let refined = inner.refined_costs(frozen.name());
             let p = crate::placement::failover_placement_ext(
                 &*frozen,
                 &[],
                 &lost,
-                &self.gpu_cost_model(),
+                &inner.cost_model(),
                 inner.policy,
                 refined.as_ref(),
             )?;
@@ -954,7 +743,7 @@ impl Executor {
                     &*frozen,
                     self.gpu.num_devices(),
                     inner.policy,
-                    &self.gpu_cost_model(),
+                    &inner.cost_model(),
                     &dl,
                     refined.as_ref(),
                 )?;
@@ -1006,14 +795,6 @@ impl Executor {
             self.inner.idle_cv.wait(&mut g);
         }
     }
-
-    pub(crate) fn gpu_cost_model(&self) -> hf_gpu::CostModel {
-        self.gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default()
-    }
 }
 
 impl Drop for Executor {
@@ -1033,1718 +814,10 @@ impl Drop for Executor {
     }
 }
 
-impl ExecInner {
-    /// Starts a (now-active) topology: checks the stopping predicate and
-    /// either completes immediately or schedules the first round.
-    pub(crate) fn start_topology(&self, topo: Arc<Topology>) {
-        // Check cancellation (a queued topology may have been cancelled
-        // while waiting) and the predicate before the first round
-        // (run_n(0) semantics).
-        let stop = topo.cancel_requested() || (topo.predicate.lock())();
-        if stop || topo.frozen.nodes.is_empty() {
-            self.finish_topology(topo);
-            return;
-        }
-        topo.reset_round();
-        self.schedule_sources(&topo);
-    }
-
-    /// Schedules the round's source nodes in injector-spray batches.
-    /// Sources that are heads of a still-closed epoch gate are skipped:
-    /// their (inflated) join counter is consumed by [`ExecInner::open_gate`]
-    /// when the previous epoch of the stream completes.
-    fn schedule_sources(&self, topo: &Arc<Topology>) {
-        let slot = topo.slot.load(Ordering::Relaxed);
-        let gated = topo
-            .gate
-            .as_ref()
-            .filter(|g| !g.opened.load(Ordering::Acquire));
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut n = 0;
-        for &id in &topo.frozen.sources {
-            if gated.is_some_and(|g| g.is_head[id]) {
-                continue;
-            }
-            if n == RELEASE_BATCH {
-                self.dispatch_batch(&buf);
-                n = 0;
-            }
-            buf[n] = pack(slot, id);
-            n += 1;
-        }
-        self.dispatch_batch(&buf[..n]);
-    }
-
-    /// Opens a streaming epoch's body gate: consumes the extra join
-    /// dependency [`crate::topology::Topology::reset_round`] inflated
-    /// onto each gate head, dispatching heads whose real dependencies
-    /// have already drained. Idempotent; no-op for gateless topologies
-    /// and topologies that finished before their gate opened (a
-    /// cancelled-at-admission epoch never dispatched any body token).
-    pub(crate) fn open_gate(&self, topo: &Arc<Topology>) {
-        let Some(g) = &topo.gate else { return };
-        if g.opened.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let slot = topo.slot.load(Ordering::Acquire);
-        if slot == u32::MAX {
-            return;
-        }
-        let fusion = topo.fusion();
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut n = 0;
-        for &h in &g.heads {
-            if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && !fusion.member[h] {
-                if n == RELEASE_BATCH {
-                    self.dispatch_batch(&buf);
-                    n = 0;
-                }
-                buf[n] = pack(slot, h);
-                n += 1;
-            }
-        }
-        self.dispatch_batch(&buf[..n]);
-    }
-
-    /// Dispatches a batch of ready tokens: the first goes to the calling
-    /// worker's local deque (when on a worker thread), the rest are
-    /// sprayed across the injector in one lock-free batch push; thieves
-    /// are woken with a single coalesced notification proportional to the
-    /// batch size.
-    fn dispatch_batch(&self, tokens: &[Token]) {
-        let k = tokens.len();
-        if k == 0 {
-            return;
-        }
-        // Ready events must fire before the tokens become stealable:
-        // once pushed, a peer can execute the token, drain the round, and
-        // deregister the slot — after which it no longer resolves.
-        if self.lc_active() {
-            for &t in tokens {
-                let (slot, node) = unpack(t);
-                let topo = self.registry.resolve(slot);
-                self.emit_task_lc(&topo, LifecyclePhase::Ready, node, None, None, true, None);
-            }
-        }
-        let local_took = WORKER_DEQUE.with(|d| match d.borrow().as_ref() {
-            Some(local) => {
-                local.push(tokens[0]);
-                true
-            }
-            None => false,
-        });
-        let rest = if local_took { &tokens[1..] } else { tokens };
-        if !rest.is_empty() {
-            self.injector.push_batch(rest);
-            if rest.len() > 1 {
-                self.stats.injector_batches.incr();
-            }
-        }
-        if k > 1 {
-            self.stats.notify_coalesced.add((k - 1) as u64);
-        }
-        self.notifier.notify_n(k);
-    }
-
-    /// Completes one epoch topology: releases its registry slot, emits
-    /// `EpochEnd` (streaming epochs), and hands the result to the driver
-    /// via the topology's `on_finish` hook — the hook chains the next
-    /// epoch (sequential drivers), or advances the stream's completion
-    /// watermark and opens the next epoch's gate (sessions). Promise
-    /// settlement and graph-claim promotion live in the drivers.
-    fn finish_topology(&self, topo: Arc<Topology>) {
-        // Pull allocations stay device-resident so an unchanged
-        // resubmission can elide its H2D copies; they are freed when the
-        // frozen snapshot drops (graph mutation or teardown). Give the
-        // pools' magazine caches back to the buddy allocator instead, so
-        // parked blocks can coalesce between runs.
-        for dev in self.gpu.devices() {
-            dev.trim_pool();
-        }
-
-        // Release the registry slot: every token of this topology has
-        // been consumed (the round fully drained), so none can resolve
-        // this slot anymore.
-        let slot = topo.slot.swap(u32::MAX, Ordering::AcqRel);
-        if slot != u32::MAX {
-            self.registry.deregister(slot);
-        }
-
-        if topo.epoch.is_some() {
-            let result = topo.result();
-            self.emit_run_lc(
-                &topo,
-                LifecyclePhase::EpochEnd,
-                result.is_ok(),
-                result.as_ref().err(),
-            );
-        }
-        let hook = topo.on_finish.lock().take();
-
-        // The epoch topology's own in-flight count drops here; the driver
-        // holds a separate count for the whole submission, so the idle
-        // condvar only fires at true quiescence.
-        if self.num_topologies.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.idle_lock.lock();
-            self.idle_cv.notify_all();
-        }
-
-        if let Some(hook) = hook {
-            hook(&topo);
-        }
-    }
-
-    /// Marks a node finished: records whether it succeeded (failover
-    /// replay bookkeeping), releases its successors (batched) and, if it
-    /// was the round's last node, ends the round. Called from worker
-    /// threads (synchronous host tasks) and from device engine threads
-    /// (the stream-ordered completion callbacks of GPU tasks). Failed and
-    /// skipped nodes still release successors so the round always drains
-    /// — never hangs — with the skip flags keeping bodies from consuming
-    /// half-failed state.
-    fn finish_node(&self, topo: &Arc<Topology>, node: usize, ok: bool) {
-        topo.round_ok[node].store(ok, Ordering::Release);
-        let slot = topo.slot.load(Ordering::Relaxed);
-        let fusion = topo.fusion();
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut n = 0;
-        for &s in &topo.frozen.nodes[node].succ {
-            if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Fused chain members were dispatched with their head;
-                // whoever finished the head also finishes them in order.
-                if !fusion.member[s] {
-                    if n == RELEASE_BATCH {
-                        self.dispatch_batch(&buf);
-                        n = 0;
-                    }
-                    buf[n] = pack(slot, s);
-                    n += 1;
-                }
-            }
-        }
-        if n > 0 {
-            self.dispatch_batch(&buf[..n]);
-        }
-        // Streaming admission: when the last prologue node (host tasks and
-        // pulls) of an epoch drains, fire the session's hook so the next
-        // epoch's input mutation and H2D transfers can start while this
-        // epoch's body still occupies the devices. Saturating — failover
-        // replay may re-finish a prologue node — and the FnOnce hook fires
-        // exactly once.
-        if let Some(p) = &topo.prologue {
-            if p.is_prologue[node] {
-                let fired = p
-                    .pending
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-                if fired == Ok(1) {
-                    if let Some(hook) = p.hook.lock().take() {
-                        hook();
-                    }
-                }
-            }
-        }
-        if topo.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.end_round(topo);
-        }
-    }
-
-    /// Called by the worker that finished the last node of a round.
-    fn end_round(&self, topo: &Arc<Topology>) {
-        // A device was lost mid-round: once the round has drained, replay
-        // its unfinished part on a re-placed device assignment instead of
-        // counting the round. Skipped when the run already failed or was
-        // cancelled.
-        if topo.failover_pending.load(Ordering::Acquire)
-            && !topo.cancelled.load(Ordering::Acquire)
-            && !topo.cancel_requested()
-            && self.try_failover(topo)
-        {
-            return;
-        }
-
-        topo.rounds.fetch_add(1, Ordering::Relaxed);
-        self.stats.rounds.incr();
-
-        // Pull allocations persist across rounds and submissions (sizes
-        // usually repeat, and unchanged data elides the copy entirely);
-        // they are reclaimed when the frozen snapshot drops.
-        let stop = topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
-            || (topo.predicate.lock())();
-        if stop {
-            self.finish_topology(Arc::clone(topo));
-        } else {
-            // A failover left a replay-masked fusion plan; recompute the
-            // full plan for the new placement before the next round.
-            if topo.fusion_stale.swap(false, Ordering::AcqRel) {
-                let plan = FusionPlan::compute(&topo.frozen, &topo.placement(), self.fusion);
-                *topo.fusion.write() = Arc::new(plan);
-            }
-            topo.reset_round();
-            self.schedule_sources(topo);
-        }
-    }
-
-    /// Decides what to do about a failed task body: retry it (transient
-    /// error with attempts left), fail the run, or — for a whole-device
-    /// loss under [`OnDeviceLoss::Failover`] — request a failover.
-    fn failure_action(&self, topo: &Arc<Topology>, node: usize, err: &HfError) -> FailureAction {
-        match err.gpu_cause() {
-            Some(GpuError::FaultInjected { .. }) => {
-                self.stats.faults_injected.incr();
-            }
-            Some(GpuError::DeviceLost(_)) => {
-                return match self.retry.loss_behavior() {
-                    OnDeviceLoss::Failover => FailureAction::Failover,
-                    OnDeviceLoss::Fail => FailureAction::Fail,
-                };
-            }
-            _ => {}
-        }
-        // Retry only failures whose effect never happened: injected
-        // faults and allocation exhaustion fire before mutating anything,
-        // and panics unwind before the task's outputs are published.
-        let retryable = matches!(err, HfError::TaskPanicked { .. })
-            || matches!(
-                err.gpu_cause(),
-                Some(GpuError::FaultInjected { .. } | GpuError::OutOfMemory { .. })
-            );
-        if !retryable {
-            return FailureAction::Fail;
-        }
-        let kind = topo.frozen.nodes[node].work.kind();
-        let attempt = topo.attempts[node].fetch_add(1, Ordering::Relaxed) + 1;
-        if attempt < self.retry.attempts(kind) {
-            FailureAction::Retry(self.retry.backoff_for(attempt))
-        } else {
-            FailureAction::Fail
-        }
-    }
-
-    /// Handles a failed GPU chain suffix from a stream completion
-    /// callback: `rest[0]` is the failed node; the rest never ran.
-    fn chain_failure(&self, topo: &Arc<Topology>, rest: &[usize], err: HfError) {
-        let failed = rest[0];
-        match self.failure_action(topo, failed, &err) {
-            FailureAction::Retry(delay) => {
-                // Suffix retry: the completed prefix already finished ok;
-                // re-dispatch the failed member, which re-walks the chain
-                // from there. Runs on the device engine thread, so the
-                // token lands in the injector.
-                self.stats.retries.incr();
-                topo.retries.fetch_add(1, Ordering::Relaxed);
-                self.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Retried,
-                    failed,
-                    None,
-                    None,
-                    false,
-                    Some(&err),
-                );
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                let slot = topo.slot.load(Ordering::Relaxed);
-                self.dispatch_batch(&[pack(slot, failed)]);
-            }
-            FailureAction::Failover => {
-                self.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Failed,
-                    failed,
-                    None,
-                    None,
-                    false,
-                    Some(&err),
-                );
-                topo.request_failover(err);
-                for &n in rest {
-                    self.finish_node(topo, n, false);
-                }
-            }
-            FailureAction::Fail => {
-                self.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Failed,
-                    failed,
-                    None,
-                    None,
-                    false,
-                    Some(&err),
-                );
-                topo.fail(err);
-                for &n in rest {
-                    self.finish_node(topo, n, false);
-                }
-            }
-        }
-    }
-
-    /// Performs a device failover at a drained round boundary: re-places
-    /// the lost devices' groups onto the survivors and replays exactly the
-    /// nodes that did not complete this round. Returns `false` when the
-    /// failover could not be performed (budget exhausted, no survivors, or
-    /// replay would double-apply a completed push) — the run then fails
-    /// with the triggering error.
-    fn try_failover(&self, topo: &Arc<Topology>) -> bool {
-        let cause = match topo.failover.lock().take() {
-            Some(c) => c,
-            None => return false,
-        };
-        if topo.failovers.fetch_add(1, Ordering::Relaxed) + 1 > self.retry.failover_budget() {
-            topo.fail(cause);
-            return false;
-        }
-
-        let lost: Vec<bool> = self.gpu.devices().iter().map(|d| d.is_lost()).collect();
-        for (d, &l) in lost.iter().enumerate() {
-            if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
-                self.stats.devices_lost.incr();
-            }
-        }
-
-        let frozen = &topo.frozen;
-        let n = frozen.nodes.len();
-        let placement = topo.placement();
-        let mut ok: Vec<bool> = topo
-            .round_ok
-            .iter()
-            .map(|b| b.load(Ordering::Acquire))
-            .collect();
-
-        // Results living in a lost device's arena are gone: pulls and
-        // kernels there must replay even though they completed. A
-        // *completed push* there is unrecoverable — its host-side write
-        // already happened, and replaying its group could re-apply an
-        // in-place update through the re-pulled data — so fail structured
-        // rather than risk silent double-application.
-        #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
-        for i in 0..n {
-            let on_lost = placement.device_of[i].is_some_and(|d| lost[d as usize]);
-            if on_lost && ok[i] {
-                if frozen.nodes[i].work.kind() == TaskKind::Push {
-                    topo.fail(cause);
-                    return false;
-                }
-                ok[i] = false;
-            }
-        }
-
-        let replay = ok.iter().filter(|&&o| !o).count();
-        if replay == 0 {
-            // Can't happen (the failover-requesting node is !ok), but a
-            // replay of nothing would hang the round — fail instead.
-            topo.fail(cause);
-            return false;
-        }
-
-        // Streaming input hazard: once the session admitted a later epoch
-        // (and ran its input mutator), this epoch's pulls would replay the
-        // *next* epoch's host data. Fail the epoch with the triggering
-        // cause instead; the stream itself keeps serving (the session
-        // re-places subsequent epochs on the survivors).
-        if let Some(g) = &topo.input_guard {
-            if g.gen.load(Ordering::Acquire) != g.admitted_gen {
-                let replays_pull = ok.iter().enumerate().any(|(i, &o)| {
-                    !o && frozen.nodes[i].work.kind() == TaskKind::Pull
-                });
-                if replays_pull {
-                    topo.fail(cause);
-                    return false;
-                }
-            }
-        }
-
-        let cost = self
-            .gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default();
-        let refined = self.refined_costs(frozen.name());
-        let new_placement = match crate::placement::failover_placement_ext(
-            &**frozen,
-            &placement.device_of,
-            &lost,
-            &cost,
-            self.policy,
-            refined.as_ref(),
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                // No surviving GPUs: fail with the structural error.
-                drop(cause);
-                topo.fail(e);
-                return false;
-            }
-        };
-        self.record_placement(&new_placement);
-
-        // Device buffers on lost devices vanished with their arenas; a
-        // replayed pull re-allocates on its new device. (Nothing to free —
-        // the device is gone.)
-        for i in 0..frozen.nodes.len() {
-            let mut st = topo.pull_state(i).lock();
-            if let Some(p) = st.ptr {
-                if lost.get(p.device as usize).copied().unwrap_or(true) {
-                    st.ptr = None;
-                    st.resident_version = None;
-                    st.device = None;
-                } else if new_placement.device_of[i] != Some(p.device) {
-                    // Defensive: surviving groups keep their device, but if
-                    // one ever moves, release the stale buffer properly.
-                    if let Ok(dev) = self.gpu.device(p.device) {
-                        let _ = dev.free(p);
-                    }
-                    st.ptr = None;
-                    st.resident_version = None;
-                    st.device = None;
-                }
-            }
-        }
-
-        // Replay plan: fuse only among replayed nodes so no chain hangs
-        // off an already-finished head.
-        let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
-        let masked = FusionPlan::compute_masked(frozen, &new_placement, self.fusion, &active);
-
-        // Rebuild join counters for the replay subgraph: a replayed node
-        // waits only on replayed predecessors (done ones are satisfied).
-        let mut join = vec![0usize; n];
-        for u in 0..n {
-            if !ok[u] {
-                for &s in &frozen.nodes[u].succ {
-                    if !ok[s] {
-                        join[s] += 1;
-                    }
-                }
-            }
-        }
-        for (j, v) in topo.join.iter().zip(&join) {
-            j.store(*v, Ordering::Relaxed);
-        }
-        for a in &topo.attempts {
-            a.store(0, Ordering::Relaxed);
-        }
-        for (b, &o) in topo.round_ok.iter().zip(&ok) {
-            b.store(o, Ordering::Relaxed);
-        }
-        *topo.placement.write() = Arc::new(new_placement);
-        *topo.fusion.write() = Arc::new(masked);
-        topo.fusion_stale.store(true, Ordering::Release);
-        topo.pending.store(replay, Ordering::Release);
-
-        // Lift the skip barrier before dispatching replay work.
-        topo.failover_pending.store(false, Ordering::Release);
-        self.emit_run_lc(topo, LifecyclePhase::Failover, true, Some(&cause));
-
-        let fusion = topo.fusion();
-        let slot = topo.slot.load(Ordering::Relaxed);
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut k = 0;
-        for i in 0..n {
-            if !ok[i] && join[i] == 0 && !fusion.member[i] {
-                if k == RELEASE_BATCH {
-                    self.dispatch_batch(&buf);
-                    k = 0;
-                }
-                buf[k] = pack(slot, i);
-                k += 1;
-            }
-        }
-        self.dispatch_batch(&buf[..k]);
-        true
-    }
-}
-
-thread_local! {
-    /// The owning side of the current worker's deque, when the thread is
-    /// an executor worker.
-    static WORKER_DEQUE: std::cell::RefCell<Option<Arc<StealDeque<Token>>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-struct Worker {
-    id: usize,
-    deque: Arc<StealDeque<Token>>,
-    inner: Arc<ExecInner>,
-    /// Lazily created per-device streams — "each worker keeps a
-    /// per-thread CUDA stream" (§III-C).
-    streams: Vec<Option<Stream>>,
-    /// Lazily created per-device copy-lane streams: chunked transfers
-    /// round-robin their chunks across these so long copies interleave
-    /// with kernels on the device engine.
-    copy_streams: Vec<Vec<Stream>>,
-    /// xorshift state for victim selection.
-    rng: u64,
-}
-
-impl Worker {
-    fn new(id: usize, deque: StealDeque<Token>, inner: Arc<ExecInner>) -> Self {
-        let n_gpus = inner.gpu.num_devices() as usize;
-        Self {
-            id,
-            deque: Arc::new(deque),
-            inner,
-            streams: (0..n_gpus).map(|_| None).collect(),
-            copy_streams: (0..n_gpus).map(|_| Vec::new()).collect(),
-            rng: 0x9E3779B97F4A7C15 ^ (id as u64 + 1),
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn stream(&mut self, device: u32) -> Stream {
-        let slot = &mut self.streams[device as usize];
-        if slot.is_none() {
-            let dev = self
-                .inner
-                .gpu
-                .device(device)
-                .expect("placement produced a valid device id");
-            *slot = Some(Stream::new(&dev));
-        }
-        slot.clone().expect("just created")
-    }
-
-    /// Copy-lane streams for `device`, created on first chunked transfer.
-    fn copy_lanes(&mut self, device: u32) -> Vec<Stream> {
-        let lanes = self.inner.copy_lanes;
-        let slot = &mut self.copy_streams[device as usize];
-        if slot.is_empty() {
-            let dev = self
-                .inner
-                .gpu
-                .device(device)
-                .expect("placement produced a valid device id");
-            slot.extend((0..lanes).map(|_| Stream::new(&dev)));
-        }
-        slot.clone()
-    }
-
-    fn run(mut self) {
-        if self.inner.pin_workers {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let _ = crate::affinity::pin_current_thread(self.id % cores);
-        }
-        WORKER_DEQUE.with(|d| *d.borrow_mut() = Some(Arc::clone(&self.deque)));
-        loop {
-            // Exploit: drain the local queue.
-            while let Some(token) = self.deque.pop() {
-                self.execute(token);
-            }
-            // Explore: steal, or sleep when the system is quiet.
-            match self.wait_for_task() {
-                Some(token) => self.execute(token),
-                None => break,
-            }
-        }
-        WORKER_DEQUE.with(|d| *d.borrow_mut() = None);
-    }
-
-    /// Steal loop with the adaptive wake/sleep strategy. Returns `None`
-    /// on shutdown.
-    fn wait_for_task(&mut self) -> Option<Token> {
-        let inner = Arc::clone(&self.inner);
-        inner.num_thieves.fetch_add(1, Ordering::SeqCst);
-        loop {
-            // Bounded stealing sweep.
-            let mut backoff = hf_sync::Backoff::new();
-            while !backoff.is_completed() {
-                if let Some(token) = self.try_steal_once() {
-                    // If this was the last thief, wake a peer so one thief
-                    // remains while we turn active (paper's invariant).
-                    if inner.num_thieves.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        inner.notifier.notify_one();
-                    }
-                    return Some(token);
-                }
-                backoff.snooze();
-            }
-
-            if !inner.adaptive_sleep {
-                // Ablation mode: spin forever (still honor shutdown).
-                if inner.done.load(Ordering::Acquire) {
-                    inner.num_thieves.fetch_sub(1, Ordering::SeqCst);
-                    return None;
-                }
-                continue;
-            }
-
-            // Two-phase sleep: prepare, re-check, commit.
-            let token = inner.notifier.prepare_wait();
-            if inner.done.load(Ordering::Acquire) {
-                inner.notifier.cancel_wait(token);
-                inner.num_thieves.fetch_sub(1, Ordering::SeqCst);
-                return None;
-            }
-            if self.work_visible() {
-                inner.notifier.cancel_wait(token);
-                continue;
-            }
-            // Keep one thief alive while any worker is active.
-            if inner.num_actives.load(Ordering::SeqCst) > 0
-                && inner.num_thieves.load(Ordering::SeqCst) == 1
-            {
-                inner.notifier.cancel_wait(token);
-                continue;
-            }
-            inner.stats.sleeps.incr(self.id);
-            inner.notifier.commit_wait(token);
-            inner.stats.wakeups.incr(self.id);
-        }
-    }
-
-    /// One randomized steal attempt across victims and the injector.
-    /// Our own id maps to the injector, so every draw is a real attempt
-    /// (no wasted self-steal); injector hits claim a whole batch and bank
-    /// the extras in the local deque.
-    ///
-    /// Topology-aware preference: before the random draw, probe one
-    /// victim sharing this worker's device focus (its deque most likely
-    /// holds tasks placed where this worker's streams and caches are
-    /// already warm). Misses fall straight through to the random sweep,
-    /// so the affine pass can delay but never prevent a steal.
-    fn try_steal_once(&mut self) -> Option<Token> {
-        let inner = Arc::clone(&self.inner);
-        let n = inner.stealers.len();
-        inner.stats.steal_attempts.incr(self.id);
-        let focus = inner.worker_focus[self.id].load(Ordering::Relaxed);
-        if focus != u64::MAX && n > 1 {
-            let start = (self.next_rand() % n as u64) as usize;
-            for k in 0..n {
-                let v = (start + k) % n;
-                if v == self.id || inner.worker_focus[v].load(Ordering::Relaxed) != focus {
-                    continue;
-                }
-                if let Steal::Success(token) = inner.stealers[v].steal() {
-                    inner.stats.steals.incr(self.id);
-                    inner.stats.steals_affine.incr(self.id);
-                    return Some(token);
-                }
-                // One affine probe per attempt; empty or contended falls
-                // back to the random draw below.
-                break;
-            }
-        }
-        let v = (self.next_rand() % n as u64) as usize;
-        if v == self.id {
-            let mut first = None;
-            let deque = &self.deque;
-            let got = inner.injector.pop_batch(STEAL_BATCH, |t| {
-                if first.is_none() {
-                    first = Some(t);
-                } else {
-                    deque.push(t);
-                }
-            });
-            if got > 0 {
-                inner.stats.steals.incr(self.id);
-                return first;
-            }
-        } else {
-            match inner.stealers[v].steal() {
-                Steal::Success(token) => {
-                    inner.stats.steals.incr(self.id);
-                    return Some(token);
-                }
-                Steal::Retry | Steal::Empty => {}
-            }
-        }
-        None
-    }
-
-    /// True if any queue plausibly holds work (used to re-check before
-    /// sleeping). Lock-free: probes the injector and deque tops.
-    fn work_visible(&self) -> bool {
-        if !self.inner.injector.is_empty() {
-            return true;
-        }
-        self.inner.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    /// Executes a work token — the visitor dispatch of §III-C. Host tasks
-    /// complete synchronously on this worker; GPU tasks are *dispatched*
-    /// asynchronously to the device stream (the worker is immediately
-    /// free, so one core can drive many GPUs concurrently), with a
-    /// stream-ordered completion callback releasing the successors — the
-    /// fully asynchronous pattern of Listing 13.
-    fn execute(&mut self, token: Token) {
-        let (slot, node) = unpack(token);
-        let topo = self.inner.registry.resolve(slot);
-        let inner = Arc::clone(&self.inner);
-        inner.num_actives.fetch_add(1, Ordering::SeqCst);
-        // Ensure a thief exists while we are active.
-        if inner.num_thieves.load(Ordering::SeqCst) == 0 {
-            inner.notifier.notify_one();
-        }
-
-        let observed = inner.observers.iter().any(|o| o.is_active());
-        if observed {
-            inner.emit_task_lc(
-                &topo,
-                LifecyclePhase::Started,
-                node,
-                Some(self.id as u32),
-                None,
-                true,
-                None,
-            );
-            let meta = self.task_meta(&topo, node);
-            for o in &inner.observers {
-                o.on_task_begin(&meta);
-            }
-        }
-
-        // Bodies are skipped (but the round still drains) when the run
-        // failed, the caller cancelled, or a failover is pending — the
-        // last keeps successors of a dead device's tasks from consuming
-        // half-failed state; skipped nodes replay after the failover.
-        let skip = topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
-            || topo.failover_pending.load(Ordering::Acquire);
-        let mut dispatched_async = false;
-        let mut retried = false;
-        let mut ok = false;
-        if !skip {
-            match self.invoke(&topo, node) {
-                Ok(is_async) => {
-                    dispatched_async = is_async;
-                    ok = true;
-                }
-                Err(e) => match inner.failure_action(&topo, node, &e) {
-                    FailureAction::Retry(delay) => {
-                        inner.stats.retries.incr();
-                        topo.retries.fetch_add(1, Ordering::Relaxed);
-                        inner.emit_task_lc(
-                            &topo,
-                            LifecyclePhase::Retried,
-                            node,
-                            Some(self.id as u32),
-                            None,
-                            false,
-                            Some(&e),
-                        );
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        inner.dispatch_batch(&[token]);
-                        retried = true;
-                    }
-                    FailureAction::Failover => {
-                        inner.emit_task_lc(
-                            &topo,
-                            LifecyclePhase::Failed,
-                            node,
-                            Some(self.id as u32),
-                            None,
-                            false,
-                            Some(&e),
-                        );
-                        topo.request_failover(e);
-                    }
-                    FailureAction::Fail => {
-                        inner.emit_task_lc(
-                            &topo,
-                            LifecyclePhase::Failed,
-                            node,
-                            Some(self.id as u32),
-                            None,
-                            false,
-                            Some(&e),
-                        );
-                        topo.fail(e);
-                    }
-                },
-            }
-        }
-        inner.stats.tasks_executed.incr(self.id);
-
-        if observed {
-            let meta = self.task_meta(&topo, node);
-            for o in &inner.observers {
-                o.on_task_end(&meta);
-            }
-        }
-
-        if !dispatched_async && !retried {
-            // Finish this node and any fused chain hanging off it (chain
-            // members are never scheduled individually, so a cancelled or
-            // failed head must finish them here).
-            let fusion = topo.fusion();
-            let mut node = node;
-            loop {
-                let next = fusion.next[node];
-                inner.emit_task_lc(
-                    &topo,
-                    LifecyclePhase::Finished,
-                    node,
-                    Some(self.id as u32),
-                    None,
-                    ok,
-                    None,
-                );
-                inner.finish_node(&topo, node, ok);
-                match next {
-                    Some(nxt) => node = nxt as usize,
-                    None => break,
-                }
-            }
-        }
-        inner.num_actives.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Builds the observer metadata for a work token.
-    fn task_meta<'a>(&self, topo: &'a Arc<Topology>, node: usize) -> TaskMeta<'a> {
-        let n = &topo.frozen.nodes[node];
-        TaskMeta {
-            worker: self.id,
-            name: &n.name,
-            kind: n.work.kind(),
-            device: topo.placement().device_of[node],
-            graph: &topo.frozen.name,
-        }
-    }
-
-    /// Runs one task body. Returns `Ok(true)` when completion was handed
-    /// to a device stream (asynchronous GPU task), `Ok(false)` when the
-    /// task finished synchronously.
-    fn invoke(&mut self, topo: &Arc<Topology>, id: usize) -> Result<bool, HfError> {
-        let node = &topo.frozen.nodes[id];
-        match &node.work {
-            Work::Empty => Err(HfError::EmptyTask {
-                task: node.name.clone(),
-            }),
-            Work::Host(f) => {
-                let f = Arc::clone(f);
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    (f.lock())()
-                }));
-                res.map(|_| false).map_err(|_| HfError::TaskPanicked {
-                    task: node.name.clone(),
-                })
-            }
-            Work::Pull { .. } | Work::Push { .. } | Work::Kernel { .. } => {
-                self.dispatch_gpu_chain(topo, id)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Dispatches a GPU task and its fused chain (§III-C "task fusing"):
-    /// all ops are prepared first (any error aborts before a single
-    /// enqueue), then submitted to the per-worker stream back-to-back
-    /// with one completion callback finishing every chain node in order.
-    ///
-    /// Fault tolerance: each op checks its device's fault injector and
-    /// the cancellation flags before doing anything, and records the
-    /// first failure in a shared [`ChainState`]. Faults fire *before* an
-    /// op's effect, so the completion callback can finish the completed
-    /// prefix normally and route just the failed suffix through the retry
-    /// policy (retry re-dispatches the failed member, which re-walks the
-    /// chain from there).
-    fn dispatch_gpu_chain(&mut self, topo: &Arc<Topology>, head: usize) -> Result<(), HfError> {
-        let placement = topo.placement();
-        let fusion = topo.fusion();
-        let dev_id = placement.device_of[head].expect("GPU task placed");
-        let device = self.inner.gpu.device(dev_id)?;
-        let _ctx = ScopedDeviceContext::new(dev_id);
-        // Publish this worker's device focus for topology-aware stealing:
-        // peers whose last GPU chain hit the same device likely queue
-        // work warm on it.
-        self.inner.worker_focus[self.id].store(dev_id as u64, Ordering::Relaxed);
-
-        let state = Arc::new(ChainState::default());
-        let mut chain = vec![head];
-        let mut ops = vec![self.prepare_op(topo, head, &device, &state)?];
-        let mut cur = head;
-        while let Some(nxt) = fusion.next[cur] {
-            let nxt = nxt as usize;
-            ops.push(self.prepare_op(topo, nxt, &device, &state)?);
-            chain.push(nxt);
-            cur = nxt;
-        }
-        if chain.len() > 1 {
-            self.inner.stats.fused.add(self.id, (chain.len() - 1) as u64);
-            // Members never pass through `execute`; account for them.
-            self.inner
-                .stats
-                .tasks_executed
-                .add(self.id, (chain.len() - 1) as u64);
-        }
-
-        let stream = self.stream(dev_id);
-        // Dispatched events fire before the first op is enqueued: the
-        // engine may complete (and emit Finished for) the chain the
-        // moment an op lands on the stream.
-        if self.inner.lc_active() {
-            for &nid in &chain {
-                self.inner.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Dispatched,
-                    nid,
-                    Some(self.id as u32),
-                    Some(head as u32),
-                    true,
-                    None,
-                );
-            }
-        }
-        // Label ops with task name/kind only when a device trace sink is
-        // installed: the label costs an Arc<str> per op, and the engine
-        // drops it unused when tracing is off.
-        let tracing = self.inner.gpu.tracing_enabled();
-        for (&nid, op) in chain.iter().zip(ops) {
-            let label = if tracing {
-                let n = &topo.frozen.nodes[nid];
-                Some(hf_gpu::OpLabel {
-                    name: Arc::from(n.name.as_str()),
-                    tag: crate::observer::kind_to_tag(n.work.kind()),
-                    epoch: topo.epoch,
-                })
-            } else {
-                None
-            };
-            match op {
-                PreparedOp::Single(f) => stream.exec_labeled(label, f),
-                PreparedOp::ChunkedH2d { node, ptr, source } => {
-                    self.enqueue_chunked_h2d(
-                        topo, node, ptr, source, &device, &stream, &state, label,
-                    );
-                }
-                PreparedOp::ChunkedD2h { node, pull, ptr, sink } => {
-                    self.enqueue_chunked_d2h(
-                        topo, node, pull, ptr, sink, &device, &stream, &state, label,
-                    );
-                }
-            }
-        }
-        let inner = Arc::clone(&self.inner);
-        let topo2 = Arc::clone(topo);
-        let state2 = Arc::clone(&state);
-        stream.host_fn(move || {
-            let err = state2.error.lock().clone();
-            let done = state2.done.load(Ordering::Acquire);
-            match err {
-                None => {
-                    // `done < len` without an error means ops were skipped
-                    // by cancellation — finish unsuccessfully so a
-                    // failover (if one is pending) replays them.
-                    let all_ok = done == chain.len();
-                    for &node in &chain {
-                        inner.emit_task_lc(
-                            &topo2,
-                            LifecyclePhase::Finished,
-                            node,
-                            None,
-                            Some(head as u32),
-                            all_ok,
-                            None,
-                        );
-                        inner.finish_node(&topo2, node, all_ok);
-                    }
-                }
-                Some(e) => {
-                    for &node in &chain[..done] {
-                        inner.emit_task_lc(
-                            &topo2,
-                            LifecyclePhase::Finished,
-                            node,
-                            None,
-                            Some(head as u32),
-                            true,
-                            None,
-                        );
-                        inner.finish_node(&topo2, node, true);
-                    }
-                    inner.chain_failure(&topo2, &chain[done..], e);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    /// Builds the device op for one GPU node (without enqueueing it).
-    /// Pull tasks also (re)use or (re)allocate their device buffer here;
-    /// transfers larger than the chunk threshold come back as chunked
-    /// descriptors that `dispatch_gpu_chain` pipelines across copy lanes.
-    fn prepare_op(
-        &mut self,
-        topo: &Arc<Topology>,
-        id: usize,
-        device: &Device,
-        state: &Arc<ChainState>,
-    ) -> Result<PreparedOp, HfError> {
-        let frozen: &FrozenGraph = &topo.frozen;
-        let node = &frozen.nodes[id];
-        let dev_id = device.id();
-        let wrap = |name: &str, e: GpuError| HfError::TaskFailed {
-            task: name.to_string(),
-            source: e,
-        };
-        match &node.work {
-            Work::Pull { source } => {
-                // (Re)use or (re)allocate the device buffer for the
-                // source's *current* size — stateful. A same-device buffer
-                // whose reserved capacity still fits is kept: a changed
-                // length only adjusts `len` (and drops residency); a
-                // changed device or outgrown capacity reallocates.
-                let bytes = source.byte_len();
-                let ptr = {
-                    let mut st = topo.pull_state(id).lock();
-                    let reuse = matches!((&st.ptr, &st.device), (Some(p), Some(d))
-                        if d.same_device(device) && bytes as u64 <= p.capacity);
-                    if reuse {
-                        let mut p = st.ptr.expect("reuse checked");
-                        if p.len as usize != bytes {
-                            p.len = bytes as u64;
-                            st.ptr = Some(p);
-                            st.resident_version = None;
-                        }
-                        p
-                    } else {
-                        if let (Some(p), Some(d)) = (st.ptr.take(), st.device.take()) {
-                            // Best-effort: a dead or lost device rejects
-                            // the free; its arena died with it.
-                            let _ = d.free(p);
-                        }
-                        st.resident_version = None;
-                        let p = device.alloc(bytes).map_err(|e| wrap(&node.name, e))?;
-                        st.ptr = Some(p);
-                        st.device = Some(device.clone());
-                        p
-                    }
-                };
-                if bytes > self.inner.copy_chunk_threshold {
-                    return Ok(PreparedOp::ChunkedH2d {
-                        node: id,
-                        ptr,
-                        source: Arc::clone(source),
-                    });
-                }
-                let src = Arc::clone(source);
-                let topo2 = Arc::clone(topo);
-                let state2 = Arc::clone(state);
-                let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
-                let task = node.name.clone();
-                Ok(PreparedOp::Single(Box::new(move |view, cost| {
-                    if state2.skip(&topo2) {
-                        return Ok(OpReport::default());
-                    }
-                    // Transfer elision: the device buffer already holds
-                    // exactly this host version — skip the copy entirely
-                    // (no fault draw either: no transfer happens).
-                    let host_ver = src.version();
-                    if host_ver.is_some() && {
-                        let st = topo2.pull_state(id).lock();
-                        st.resident_version == host_ver && st.ptr == Some(ptr)
-                    } {
-                        inner.stats.transfers_elided.incr();
-                        state2.done.fetch_add(1, Ordering::Release);
-                        return Ok(OpReport::default());
-                    }
-                    if let Err(e) = dev.fault_check(FaultSite::H2d) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    let (data, ver) = src.fetch_bytes_versioned();
-                    let n = data.len();
-                    if let Err(e) = view.copy_in(ptr, &data) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    // Publish residency. `copy_in` is all-or-nothing, so a
-                    // failure above left the previous residency intact; a
-                    // partial fill (host shrank since prepare) stays
-                    // invalid.
-                    {
-                        let mut st = topo2.pull_state(id).lock();
-                        if st.ptr == Some(ptr) {
-                            st.resident_version =
-                                if n == ptr.len as usize { ver } else { None };
-                        }
-                    }
-                    inner.stats.bytes_h2d.add(n as u64);
-                    // Locality feedback: the modeled duration of the copy
-                    // that actually happened (current bytes, not the
-                    // placement-time size estimate).
-                    let dur = cost.h2d(n);
-                    inner.observe_cost(&topo2.frozen.name, &task, dur.as_nanos() as f64);
-                    state2.done.fetch_add(1, Ordering::Release);
-                    Ok(OpReport {
-                        duration: dur,
-                        h2d_bytes: n as u64,
-                        ..Default::default()
-                    })
-                })))
-            }
-            Work::Push { source_pull, sink } => {
-                let pull_id = *source_pull;
-                let pull_node = &frozen.nodes[pull_id];
-                let ptr = topo.pull_state(pull_id).lock().ptr.ok_or_else(|| {
-                    HfError::PushBeforePull {
-                        push: node.name.clone(),
-                        pull: pull_node.name.clone(),
-                    }
-                })?;
-                debug_assert_eq!(dev_id, ptr.device);
-                if ptr.len as usize > self.inner.copy_chunk_threshold {
-                    return Ok(PreparedOp::ChunkedD2h {
-                        node: id,
-                        pull: pull_id,
-                        ptr,
-                        sink: Arc::clone(sink),
-                    });
-                }
-                let sink = Arc::clone(sink);
-                // Revalidation below is only sound for an in-place round
-                // trip (push back into the pull's own storage): versions
-                // are per-buffer counters, so a foreign sink's version
-                // must never validate the source's residency.
-                let same_buffer = matches!(&pull_node.work, Work::Pull { source }
-                    if source.source_id().is_some()
-                        && source.source_id() == sink.sink_id());
-                let topo2 = Arc::clone(topo);
-                let state2 = Arc::clone(state);
-                let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
-                let task = node.name.clone();
-                Ok(PreparedOp::Single(Box::new(move |view, cost| {
-                    if state2.skip(&topo2) {
-                        return Ok(OpReport::default());
-                    }
-                    if let Err(e) = dev.fault_check(FaultSite::D2h) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    let bytes = match view.bytes(ptr) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            state2.fail(HfError::TaskFailed {
-                                task: task.clone(),
-                                source: e.clone(),
-                            });
-                            return Err(e);
-                        }
-                    };
-                    let n = bytes.len();
-                    let ver = sink.store_bytes_versioned(bytes);
-                    // Push revalidation: the host now mirrors the device
-                    // buffer exactly, so a subsequent pull of unchanged
-                    // host data may elide its copy.
-                    if ver.is_some() && same_buffer {
-                        let mut st = topo2.pull_state(pull_id).lock();
-                        if st.ptr == Some(ptr) {
-                            st.resident_version = ver;
-                        }
-                    }
-                    inner.stats.bytes_d2h.add(n as u64);
-                    let dur = cost.d2h(n);
-                    inner.observe_cost(&topo2.frozen.name, &task, dur.as_nanos() as f64);
-                    state2.done.fetch_add(1, Ordering::Release);
-                    Ok(OpReport {
-                        duration: dur,
-                        d2h_bytes: n as u64,
-                        ..Default::default()
-                    })
-                })))
-            }
-            Work::Kernel { func, sources } => {
-                let mut ptrs = Vec::with_capacity(sources.len());
-                for &s in sources {
-                    let pull_node = &frozen.nodes[s];
-                    let p = topo.pull_state(s).lock().ptr.ok_or_else(|| {
-                        HfError::SourceNotPulled {
-                            kernel: node.name.clone(),
-                            pull: pull_node.name.clone(),
-                        }
-                    })?;
-                    debug_assert_eq!(
-                        p.device, dev_id,
-                        "placement must co-locate kernels with their pulls"
-                    );
-                    ptrs.push(p);
-                }
-                let cfg: LaunchConfig = node.cfg;
-                let work_units = if node.work_units > 0.0 {
-                    node.work_units
-                } else {
-                    cfg.total_threads() as f64
-                };
-                let func = Arc::clone(func);
-                let src_ids = sources.clone();
-                let topo2 = Arc::clone(topo);
-                let state2 = Arc::clone(state);
-                let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
-                let task_name = node.name.clone();
-                Ok(PreparedOp::Single(Box::new(move |view, cost| {
-                    if state2.skip(&topo2) {
-                        return Ok(OpReport::default());
-                    }
-                    if let Err(e) = dev.fault_check(FaultSite::Kernel) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task_name.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    // Kernels take mutable views of their sources with no
-                    // declared access modes, so assume every source buffer
-                    // is mutated: its device bytes no longer match any
-                    // host version. (A faulted kernel above never ran, so
-                    // residency survives the retry.)
-                    for &sid in &src_ids {
-                        topo2.pull_state(sid).lock().resident_version = None;
-                    }
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut args = KernelArgs::new(view, &ptrs);
-                        func(&cfg, &mut args);
-                    }));
-                    if res.is_err() {
-                        state2.fail(HfError::TaskPanicked {
-                            task: task_name.clone(),
-                        });
-                        return Ok(OpReport::default());
-                    }
-                    let dur = cost.kernel(work_units);
-                    inner.observe_cost(&topo2.frozen.name, &task_name, dur.as_nanos() as f64);
-                    state2.done.fetch_add(1, Ordering::Release);
-                    Ok(OpReport {
-                        duration: dur,
-                        kernels: 1,
-                        ..Default::default()
-                    })
-                })))
-            }
-            Work::Empty | Work::Host(_) => unreachable!("not a GPU task"),
-        }
-    }
-
-    /// Enqueues a chunked H2D pull (pipelined copy): a fetch op on the
-    /// worker's main stream snapshots the host bytes (or elides the whole
-    /// transfer via residency), chunk copies fan out round-robin across
-    /// the copy-lane streams behind an event, and a join op back on the
-    /// main stream waits for every chunk, publishes residency, and counts
-    /// the task done. The device engine round-robins runnable stream
-    /// heads, so chunks interleave with other streams' kernels instead of
-    /// occupying the device end-to-end.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_chunked_h2d(
-        &mut self,
-        topo: &Arc<Topology>,
-        node_id: usize,
-        ptr: DevicePtr,
-        source: Arc<dyn HostSource>,
-        device: &Device,
-        stream: &Stream,
-        state: &Arc<ChainState>,
-        label: Option<hf_gpu::OpLabel>,
-    ) {
-        let chunk = self.inner.copy_chunk_threshold;
-        let lanes = self.copy_lanes(device.id());
-        let total = ptr.len as usize;
-        let n_chunks = total.div_ceil(chunk).max(1);
-        let xfer = Arc::new(ChunkXfer::default());
-        let task = topo.frozen.nodes[node_id].name.clone();
-
-        {
-            let topo2 = Arc::clone(topo);
-            let state2 = Arc::clone(state);
-            let xfer2 = Arc::clone(&xfer);
-            let src = Arc::clone(&source);
-            let task = task.clone();
-            stream.exec(Box::new(move |_view, _cost| {
-                if state2.skip(&topo2) {
-                    xfer2.aborted.store(true, Ordering::Release);
-                    return Ok(OpReport::default());
-                }
-                let host_ver = src.version();
-                {
-                    let mut st = topo2.pull_state(node_id).lock();
-                    if host_ver.is_some()
-                        && st.resident_version == host_ver
-                        && st.ptr == Some(ptr)
-                    {
-                        xfer2.elided.store(true, Ordering::Release);
-                        return Ok(OpReport::default());
-                    }
-                    // Chunks are about to partially overwrite the buffer;
-                    // a mid-copy fault must not leave residency valid.
-                    st.resident_version = None;
-                }
-                let (data, ver) = src.fetch_bytes_versioned();
-                if data.len() > ptr.len as usize {
-                    let e = GpuError::SizeMismatch {
-                        dst: ptr.len as usize,
-                        src: data.len(),
-                    };
-                    xfer2.aborted.store(true, Ordering::Release);
-                    state2.fail(HfError::TaskFailed {
-                        task: task.clone(),
-                        source: e.clone(),
-                    });
-                    return Err(e);
-                }
-                *xfer2.version.lock() = ver;
-                *xfer2.staging.lock() = data;
-                Ok(OpReport::default())
-            }));
-        }
-        let fetched = Event::new();
-        stream.record_event(&fetched);
-
-        let mut chunk_events = Vec::with_capacity(n_chunks);
-        for i in 0..n_chunks {
-            let lane = &lanes[i % lanes.len()];
-            lane.wait_event(&fetched);
-            let off = i * chunk;
-            let len = chunk.min(total - off);
-            let state2 = Arc::clone(state);
-            let topo2 = Arc::clone(topo);
-            let xfer2 = Arc::clone(&xfer);
-            let dev = device.clone();
-            let task = task.clone();
-            let body: hf_gpu::stream::ExecFn = Box::new(move |view, cost| {
-                if state2.skip(&topo2) || xfer2.inert() {
-                    return Ok(OpReport::default());
-                }
-                if let Err(e) = dev.fault_check(FaultSite::H2d) {
-                    xfer2.aborted.store(true, Ordering::Release);
-                    state2.fail(HfError::TaskFailed {
-                        task: task.clone(),
-                        source: e.clone(),
-                    });
-                    return Err(e);
-                }
-                let staging = xfer2.staging.lock();
-                // The host may have shrunk between sizing and fetch; copy
-                // only the staged part of this chunk's range.
-                let end = (off + len).min(staging.len());
-                let n = end.saturating_sub(off);
-                if n > 0 {
-                    let sub = DevicePtr {
-                        device: ptr.device,
-                        offset: ptr.offset + off as u64,
-                        len: n as u64,
-                        capacity: n as u64,
-                    };
-                    if let Err(e) = view.copy_in(sub, &staging[off..end]) {
-                        xfer2.aborted.store(true, Ordering::Release);
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                }
-                Ok(OpReport {
-                    duration: cost.h2d(n),
-                    h2d_bytes: n as u64,
-                    ..Default::default()
-                })
-            });
-            match &label {
-                Some(l) => lane.exec_labeled(
-                    Some(hf_gpu::OpLabel {
-                        name: Arc::from(format!("{}#c{i}", l.name)),
-                        tag: l.tag,
-                        epoch: l.epoch,
-                    }),
-                    body,
-                ),
-                None => lane.exec(body),
-            }
-            let done = Event::new();
-            lane.record_event(&done);
-            chunk_events.push(done);
-        }
-        for ev in &chunk_events {
-            stream.wait_event(ev);
-        }
-
-        let topo2 = Arc::clone(topo);
-        let state2 = Arc::clone(state);
-        let xfer2 = Arc::clone(&xfer);
-        let inner = Arc::clone(&self.inner);
-        stream.exec_labeled(
-            label,
-            Box::new(move |_view, cost| {
-                if state2.skip(&topo2) || xfer2.aborted.load(Ordering::Acquire) {
-                    return Ok(OpReport::default());
-                }
-                if xfer2.elided.load(Ordering::Acquire) {
-                    inner.stats.transfers_elided.incr();
-                    state2.done.fetch_add(1, Ordering::Release);
-                    return Ok(OpReport::default());
-                }
-                let n = xfer2.staging.lock().len();
-                {
-                    let mut st = topo2.pull_state(node_id).lock();
-                    if st.ptr == Some(ptr) {
-                        st.resident_version = if n == ptr.len as usize {
-                            *xfer2.version.lock()
-                        } else {
-                            None
-                        };
-                    }
-                }
-                inner.stats.bytes_h2d.add(n as u64);
-                // Chunk durations were reported per lane; feed the whole
-                // transfer's modeled cost back as this task's estimate.
-                inner.observe_cost(&topo2.frozen.name, &task, cost.h2d(n).as_nanos() as f64);
-                state2.done.fetch_add(1, Ordering::Release);
-                Ok(OpReport::default())
-            }),
-        );
-    }
-
-    /// Enqueues a chunked D2H push: chunk reads fan out across the
-    /// copy-lane streams behind a readiness event, and a join op on the
-    /// main stream stores the assembled bytes into the host sink and
-    /// revalidates the source pull's residency.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_chunked_d2h(
-        &mut self,
-        topo: &Arc<Topology>,
-        node_id: usize,
-        pull_id: usize,
-        ptr: DevicePtr,
-        sink: Arc<dyn HostSink>,
-        device: &Device,
-        stream: &Stream,
-        state: &Arc<ChainState>,
-        label: Option<hf_gpu::OpLabel>,
-    ) {
-        let chunk = self.inner.copy_chunk_threshold;
-        let lanes = self.copy_lanes(device.id());
-        let total = ptr.len as usize;
-        let n_chunks = total.div_ceil(chunk).max(1);
-        let xfer = Arc::new(ChunkXfer::default());
-        *xfer.staging.lock() = vec![0u8; total];
-        let task = topo.frozen.nodes[node_id].name.clone();
-
-        // The chunk lanes must order after everything already enqueued on
-        // the main stream (the chain prefix this push depends on).
-        let ready = Event::new();
-        stream.record_event(&ready);
-
-        let mut chunk_events = Vec::with_capacity(n_chunks);
-        for i in 0..n_chunks {
-            let lane = &lanes[i % lanes.len()];
-            lane.wait_event(&ready);
-            let off = i * chunk;
-            let len = chunk.min(total - off);
-            let state2 = Arc::clone(state);
-            let topo2 = Arc::clone(topo);
-            let xfer2 = Arc::clone(&xfer);
-            let dev = device.clone();
-            let task = task.clone();
-            let body: hf_gpu::stream::ExecFn = Box::new(move |view, cost| {
-                if state2.skip(&topo2) || xfer2.inert() {
-                    return Ok(OpReport::default());
-                }
-                if let Err(e) = dev.fault_check(FaultSite::D2h) {
-                    xfer2.aborted.store(true, Ordering::Release);
-                    state2.fail(HfError::TaskFailed {
-                        task: task.clone(),
-                        source: e.clone(),
-                    });
-                    return Err(e);
-                }
-                let sub = DevicePtr {
-                    device: ptr.device,
-                    offset: ptr.offset + off as u64,
-                    len: len as u64,
-                    capacity: len as u64,
-                };
-                let bytes = match view.bytes(sub) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        xfer2.aborted.store(true, Ordering::Release);
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                };
-                xfer2.staging.lock()[off..off + len].copy_from_slice(bytes);
-                Ok(OpReport {
-                    duration: cost.d2h(len),
-                    d2h_bytes: len as u64,
-                    ..Default::default()
-                })
-            });
-            match &label {
-                Some(l) => lane.exec_labeled(
-                    Some(hf_gpu::OpLabel {
-                        name: Arc::from(format!("{}#c{i}", l.name)),
-                        tag: l.tag,
-                        epoch: l.epoch,
-                    }),
-                    body,
-                ),
-                None => lane.exec(body),
-            }
-            let done = Event::new();
-            lane.record_event(&done);
-            chunk_events.push(done);
-        }
-        for ev in &chunk_events {
-            stream.wait_event(ev);
-        }
-
-        let topo2 = Arc::clone(topo);
-        let state2 = Arc::clone(state);
-        let xfer2 = Arc::clone(&xfer);
-        let inner = Arc::clone(&self.inner);
-        // Same in-place-round-trip condition as the single-op path.
-        let same_buffer = matches!(&topo.frozen.nodes[pull_id].work, Work::Pull { source }
-            if source.source_id().is_some() && source.source_id() == sink.sink_id());
-        stream.exec_labeled(
-            label,
-            Box::new(move |_view, cost| {
-                if state2.skip(&topo2) || xfer2.inert() {
-                    return Ok(OpReport::default());
-                }
-                let staging = std::mem::take(&mut *xfer2.staging.lock());
-                let ver = sink.store_bytes_versioned(&staging);
-                // Push revalidation, as in the single-op path.
-                if ver.is_some() && same_buffer {
-                    let mut st = topo2.pull_state(pull_id).lock();
-                    if st.ptr == Some(ptr) {
-                        st.resident_version = ver;
-                    }
-                }
-                inner.stats.bytes_d2h.add(staging.len() as u64);
-                inner.observe_cost(
-                    &topo2.frozen.name,
-                    &task,
-                    cost.d2h(staging.len()).as_nanos() as f64,
-                );
-                state2.done.fetch_add(1, Ordering::Release);
-                Ok(OpReport::default())
-            }),
-        );
-    }
-}
-
-/// What [`Worker::prepare_op`] produced for one chain node.
-enum PreparedOp {
-    /// One stream op, enqueued on the worker's main per-device stream.
-    Single(hf_gpu::stream::ExecFn),
-    /// A pull whose transfer exceeds the chunk threshold: pipelined as
-    /// fetch + chunk fan-out + join (see `enqueue_chunked_h2d`).
-    ChunkedH2d {
-        node: usize,
-        ptr: DevicePtr,
-        source: Arc<dyn HostSource>,
-    },
-    /// A push whose transfer exceeds the chunk threshold.
-    ChunkedD2h {
-        node: usize,
-        pull: usize,
-        ptr: DevicePtr,
-        sink: Arc<dyn HostSink>,
-    },
-}
-
-/// Shared state of one chunked (pipelined) transfer.
-#[derive(Default)]
-struct ChunkXfer {
-    /// Host staging buffer: filled by the fetch op (H2D) or assembled by
-    /// the chunk reads (D2H).
-    staging: Mutex<Vec<u8>>,
-    /// Host version describing the staged bytes (H2D only).
-    version: Mutex<Option<u64>>,
-    /// The whole transfer was elided via residency; chunks no-op.
-    elided: AtomicBool,
-    /// A fetch or chunk op failed (or the run was cancelled); remaining
-    /// chunk ops and the join no-op.
-    aborted: AtomicBool,
-}
-
-impl ChunkXfer {
-    fn inert(&self) -> bool {
-        self.elided.load(Ordering::Acquire) || self.aborted.load(Ordering::Acquire)
-    }
-}
-
-/// Shared failure/progress state of one dispatched GPU chain: how many
-/// ops completed (the chain prefix) and the first error, recorded by the
-/// op closures on the device engine thread and consumed by the stream's
-/// completion callback.
-#[derive(Default)]
-struct ChainState {
-    done: AtomicUsize,
-    error: Mutex<Option<HfError>>,
-}
-
-impl ChainState {
-    /// Records the first failure; later ops in the chain then skip.
-    fn fail(&self, e: HfError) {
-        let mut g = self.error.lock();
-        if g.is_none() {
-            *g = Some(e);
-        }
-    }
-
-    /// True when this op should do nothing: an earlier chain op failed,
-    /// the run already failed, or the caller cancelled — cooperative
-    /// cancellation propagated into ops already enqueued on the stream.
-    fn skip(&self, topo: &Topology) -> bool {
-        self.error.lock().is_some()
-            || topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::data::HostVec;
-    use crate::graph::Heteroflow;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn token_roundtrip() {
-        let t = pack(7, 123);
-        assert_eq!(unpack(t), (7, 123));
-        let t = pack(u32::MAX - 1, u32::MAX as usize);
-        assert_eq!(unpack(t), (u32::MAX - 1, u32::MAX as usize));
-    }
-
-    #[test]
-    fn registry_locate_covers_segments() {
-        // First ids of the first three segments, plus their last ids.
-        assert_eq!(locate(0), (0, 0, 64));
-        assert_eq!(locate(63), (0, 63, 64));
-        assert_eq!(locate(64), (1, 0, 128));
-        assert_eq!(locate(191), (1, 127, 128));
-        assert_eq!(locate(192), (2, 0, 256));
-    }
 
     #[test]
     fn empty_graph_completes_immediately() {
@@ -2754,186 +827,11 @@ mod tests {
     }
 
     #[test]
-    fn host_only_chain_runs_in_order() {
-        let ex = Executor::new(4, 0);
-        let g = Heteroflow::new("chain");
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut prev: Option<crate::task::HostTask> = None;
-        for i in 0..10 {
-            let log = Arc::clone(&log);
-            let t = g.host(&format!("t{i}"), move || log.lock().push(i));
-            if let Some(p) = &prev {
-                p.precede(&t);
-            }
-            prev = Some(t);
-        }
-        ex.run(&g).wait().unwrap();
-        assert_eq!(&*log.lock(), &(0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn diamond_respects_dependencies() {
-        let ex = Executor::new(4, 0);
-        let g = Heteroflow::new("diamond");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let snap = Arc::new(Mutex::new((0usize, 0usize)));
-        let (c1, c2, c3) = (Arc::clone(&counter), Arc::clone(&counter), Arc::clone(&counter));
-        let s1 = Arc::clone(&snap);
-        let a = g.host("a", move || {
-            c1.fetch_add(1, Ordering::SeqCst);
-        });
-        let b = g.host("b", {
-            let c = Arc::clone(&counter);
-            move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        let c = g.host("c", move || {
-            c2.fetch_add(1, Ordering::SeqCst);
-        });
-        let d = g.host("d", move || {
-            let v = c3.load(Ordering::SeqCst);
-            *s1.lock() = (v, 3);
-        });
-        a.precede(&b).precede(&c);
-        d.succeed(&b).succeed(&c);
-        ex.run(&g).wait().unwrap();
-        assert_eq!(*snap.lock(), (3, 3), "d saw all three predecessors");
-    }
-
-    #[test]
-    fn run_n_repeats() {
-        let ex = Executor::new(2, 0);
-        let g = Heteroflow::new("rep");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        g.host("inc", move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        ex.run_n(&g, 100).wait().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn run_n_zero_is_noop() {
-        let ex = Executor::new(2, 0);
-        let g = Heteroflow::new("zero");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        g.host("inc", move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        ex.run_n(&g, 0).wait().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn run_until_stops_on_predicate() {
-        let ex = Executor::new(2, 0);
-        let g = Heteroflow::new("until");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        g.host("inc", move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        let c2 = Arc::clone(&counter);
-        ex.run_until(&g, move || c2.load(Ordering::SeqCst) >= 7)
-            .wait()
-            .unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn panicking_host_task_reports_error() {
-        let ex = Executor::new(2, 0);
-        let g = Heteroflow::new("boom");
-        g.host("boom", || panic!("intentional"));
-        let res = ex.run(&g).wait();
-        assert_eq!(
-            res,
-            Err(HfError::TaskPanicked {
-                task: "boom".into()
-            })
-        );
-        // Executor still works afterwards.
-        let g2 = Heteroflow::new("ok");
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        g2.host("fine", move || {
-            r.store(1, Ordering::SeqCst);
-        });
-        ex.run(&g2).wait().unwrap();
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn concurrent_runs_of_same_graph_queue_up() {
-        let ex = Executor::new(4, 0);
-        let g = Heteroflow::new("queued");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        g.host("inc", move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        let futs: Vec<_> = (0..8).map(|_| ex.run(&g)).collect();
-        for f in futs {
-            f.wait().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn wait_for_all_drains_everything() {
-        let ex = Executor::new(4, 0);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let graphs: Vec<Heteroflow> = (0..5)
-            .map(|i| {
-                let g = Heteroflow::new(&format!("g{i}"));
-                let c = Arc::clone(&counter);
-                g.host("inc", move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-                g
-            })
-            .collect();
-        for g in &graphs {
-            ex.run_n(g, 3);
-        }
-        ex.wait_for_all();
-        assert_eq!(counter.load(Ordering::SeqCst), 15);
-    }
-
-    #[test]
-    fn wide_fanout_exercises_stealing() {
-        let ex = Executor::new(4, 0);
-        let g = Heteroflow::new("fan");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let root = g.host("root", || {});
-        for i in 0..200 {
-            let c = Arc::clone(&counter);
-            let t = g.host(&format!("leaf{i}"), move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-            root.precede(&t);
-        }
-        ex.run(&g).wait().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 200);
-        assert!(ex.stats().tasks_executed.sum() >= 201);
-        // 200 successors released at once must have been sprayed across
-        // the injector in batched pushes, not item-by-item.
-        assert!(ex.stats().injector_batches.sum() >= 1);
-        assert!(ex.stats().notify_coalesced.sum() >= 1);
-    }
-
-    #[test]
     fn placeholder_execution_is_an_error() {
         let ex = Executor::new(2, 0);
         let g = Heteroflow::new("ph");
         g.placeholder("nothing");
-        assert!(matches!(
-            ex.run(&g).wait(),
-            Err(HfError::EmptyTask { .. })
-        ));
+        assert!(matches!(ex.run(&g).wait(), Err(HfError::EmptyTask { .. })));
     }
 
     #[test]
@@ -2945,17 +843,22 @@ mod tests {
         assert!(matches!(ex.run(&g).wait(), Err(HfError::NoGpus { .. })));
     }
 
-    #[test]
-    fn non_adaptive_mode_still_works() {
-        let ex = Executor::builder(3, 0).adaptive_sleep(false).build();
-        let g = Heteroflow::new("spin");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        g.host("inc", move || {
-            c.fetch_add(1, Ordering::SeqCst);
+    /// pull→kernel(double)→push lane over `data`; expect every element
+    /// doubled after a successful run.
+    pub(crate) fn gpu_lane(g: &Heteroflow, name: &str, data: &HostVec<i32>) {
+        let p = g.pull(&format!("{name}_pull"), data);
+        let k = g.kernel(&format!("{name}_k"), &[&p], |cfg, args| {
+            let xs = args.slice_mut::<i32>(0).unwrap();
+            for i in cfg.threads() {
+                if i < xs.len() {
+                    xs[i] *= 2;
+                }
+            }
         });
-        ex.run_n(&g, 10).wait().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
+        k.block_x(64);
+        let s = g.push(&format!("{name}_push"), &p, data);
+        p.precede(&k);
+        k.precede(&s);
     }
 
     #[test]
@@ -3003,110 +906,6 @@ mod tests {
         // Two submissions, one graph version: one miss, one hit.
         assert_eq!(ex.stats().topo_cache_misses.sum(), 1);
         assert_eq!(ex.stats().topo_cache_hits.sum(), 1);
-    }
-
-    /// pull→kernel(double)→push lane over `data`; expect every element
-    /// doubled after a successful run.
-    fn gpu_lane(g: &Heteroflow, name: &str, data: &HostVec<i32>) {
-        let p = g.pull(&format!("{name}_pull"), data);
-        let k = g.kernel(&format!("{name}_k"), &[&p], |cfg, args| {
-            let xs = args.slice_mut::<i32>(0).unwrap();
-            for i in cfg.threads() {
-                if i < xs.len() {
-                    xs[i] *= 2;
-                }
-            }
-        });
-        k.block_x(64);
-        let s = g.push(&format!("{name}_push"), &p, data);
-        p.precede(&k);
-        k.precede(&s);
-    }
-
-    #[test]
-    fn injected_fault_retries_to_success() {
-        let ex = Executor::builder(2, 1)
-            .retry_policy(RetryPolicy::new(3))
-            .build();
-        ex.gpu_runtime().set_fault_plan(Some(
-            hf_gpu::FaultPlan::seeded(42)
-                .fail(FaultSite::Kernel, 1.0)
-                .max_faults(1),
-        ));
-        let g = Heteroflow::new("retry");
-        let x: HostVec<i32> = HostVec::from_vec(vec![1; 64]);
-        gpu_lane(&g, "lane", &x);
-        ex.run(&g).wait().unwrap();
-        assert!(x.read().iter().all(|&v| v == 2));
-        let snap = ex.stats().snapshot();
-        assert!(snap.retries >= 1, "retries: {}", snap.retries);
-        assert!(snap.faults_injected >= 1);
-    }
-
-    #[test]
-    fn exhausted_retries_fail_with_structured_error() {
-        let ex = Executor::builder(2, 1)
-            .retry_policy(RetryPolicy::new(2))
-            .build();
-        // Every h2d copy faults, forever: two attempts then a hard fail.
-        ex.gpu_runtime()
-            .set_fault_plan(Some(hf_gpu::FaultPlan::seeded(7).fail(FaultSite::H2d, 1.0)));
-        let g = Heteroflow::new("exhaust");
-        let x: HostVec<i32> = HostVec::from_vec(vec![1; 16]);
-        g.pull("p", &x);
-        let err = ex.run(&g).wait().unwrap_err();
-        assert_eq!(err.task(), Some("p"));
-        assert!(matches!(
-            err.gpu_cause(),
-            Some(GpuError::FaultInjected { .. })
-        ));
-        assert!(ex.stats().snapshot().retries >= 1);
-    }
-
-    #[test]
-    fn device_loss_fails_over_to_survivor() {
-        let ex = Executor::new(2, 2);
-        // Device 0 dies at its first op; the lane placed there must be
-        // re-placed onto device 1 and replayed.
-        ex.gpu_runtime()
-            .set_fault_plan(Some(hf_gpu::FaultPlan::seeded(1).lose_device(0, 0)));
-        let g = Heteroflow::new("failover");
-        let x: HostVec<i32> = HostVec::from_vec(vec![1; 64]);
-        let y: HostVec<i32> = HostVec::from_vec(vec![3; 64]);
-        gpu_lane(&g, "lx", &x);
-        gpu_lane(&g, "ly", &y);
-        ex.run(&g).wait().unwrap();
-        assert!(x.read().iter().all(|&v| v == 2));
-        assert!(y.read().iter().all(|&v| v == 6));
-        assert_eq!(ex.stats().snapshot().devices_lost, 1);
-    }
-
-    #[test]
-    fn device_loss_with_fail_policy_errors() {
-        let ex = Executor::builder(2, 1)
-            .retry_policy(RetryPolicy::default().on_device_loss(OnDeviceLoss::Fail))
-            .build();
-        ex.gpu_runtime()
-            .set_fault_plan(Some(hf_gpu::FaultPlan::seeded(3).lose_device(0, 0)));
-        let g = Heteroflow::new("lossfail");
-        let x: HostVec<i32> = HostVec::from_vec(vec![1; 16]);
-        gpu_lane(&g, "lane", &x);
-        let err = ex.run(&g).wait().unwrap_err();
-        assert!(matches!(err.gpu_cause(), Some(GpuError::DeviceLost(0))));
-    }
-
-    #[test]
-    fn losing_the_only_device_fails_structured() {
-        let ex = Executor::new(2, 1);
-        ex.gpu_runtime()
-            .set_fault_plan(Some(hf_gpu::FaultPlan::seeded(5).lose_device(0, 0)));
-        let g = Heteroflow::new("lastgpu");
-        let x: HostVec<i32> = HostVec::from_vec(vec![1; 16]);
-        gpu_lane(&g, "lane", &x);
-        // Failover has no survivors: the run must fail (never hang) with
-        // a structured error.
-        let err = ex.run(&g).wait().unwrap_err();
-        assert!(matches!(err, HfError::NoGpus { .. }));
     }
 
     #[test]
@@ -3206,20 +1005,5 @@ mod tests {
         gpu_lane(&g, "lane", &x);
         ex.run(&g).wait().unwrap();
         assert!(ex.device_loads().iter().any(|&l| l > 0.0));
-    }
-
-    /// `pin_workers` must be a safe no-op knob regardless of whether the
-    /// `core_affinity` feature (and thus real pinning) is compiled in.
-    #[test]
-    fn pinned_workers_still_schedule() {
-        let ex = Executor::builder(3, 1).pin_workers(true).build();
-        let g = Heteroflow::new("pin");
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        g.host("inc", move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        ex.run_n(&g, 20).wait().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 20);
     }
 }

@@ -13,10 +13,10 @@
 //!   future settles when the run (eventually admitted and executed)
 //!   completes. Cancelling a still-queued future settles it with
 //!   [`HfError::Cancelled`] without it ever dispatching.
-//! * **Pluggable admission** ([`crate::admission`]): FIFO, weighted-fair
-//!   (start-time fair queueing over cost-model virtual time), or strict
-//!   priority decide which queue's head is admitted whenever an
-//!   in-flight slot frees up.
+//! * **Pluggable admission** ([`crate::admission`]): FIFO or
+//!   weighted-fair (start-time fair queueing over cost-model virtual
+//!   time) decides which queue's head is admitted whenever an in-flight
+//!   slot frees up.
 //! * **Quotas and backpressure.** Per-tenant in-flight caps park excess
 //!   submissions (backpressure); per-tenant queue bounds return
 //!   [`HfError::FleetSaturated`]; a modeled GPU-nanosecond budget
@@ -36,7 +36,7 @@ use crate::error::HfError;
 use crate::executor::Executor;
 use crate::graph::Heteroflow;
 use crate::stream::{run_driver_ext, DriverExtras};
-use crate::topology::{Completion, RunFuture};
+use crate::topology::RunFuture;
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
@@ -70,7 +70,7 @@ impl Default for FleetConfig {
 struct Queued {
     hf: Heteroflow,
     rounds: usize,
-    core: Completion,
+    core: RunFuture,
     est_ns: u64,
     retry_unit_ns: u64,
     seq: u64,
@@ -143,7 +143,7 @@ struct FleetInner {
 struct Launch {
     hf: Heteroflow,
     rounds: usize,
-    core: Completion,
+    core: RunFuture,
     tenant: Arc<str>,
     lane: usize,
     retry_unit_ns: u64,
@@ -170,7 +170,7 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Creates a fleet over `exec` with FIFO admission (the baseline;
-    /// see [`Fleet::with_policy`] for weighted-fair or strict-priority).
+    /// see [`Fleet::with_policy`] for weighted-fair).
     pub fn new(exec: Executor, cfg: FleetConfig) -> Self {
         Self::with_policy(exec, cfg, Box::new(Fifo))
     }
@@ -295,7 +295,7 @@ impl Fleet {
             lane.gpu_ns_charged = lane.gpu_ns_charged.saturating_add(est);
             lane.submitted += 1;
             let run_id = inner.exec.inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let core = Completion::new(run_id);
+            let core = RunFuture::new(run_id, None);
             let seq = st.seq;
             st.seq += 1;
             st.lanes[li].queue.push_back(Queued {
@@ -330,7 +330,7 @@ impl Fleet {
             Some(launch) => inner.dispatch(launch),
             None => inner.pump(),
         }
-        Ok(RunFuture { core })
+        Ok(core)
     }
 
     /// Blocks until every queued and in-flight submission has settled
@@ -372,7 +372,6 @@ impl Fleet {
                 .map(|l| TenantSnapshot {
                     tenant: l.id.as_str().to_string(),
                     weight: l.cfg.weight,
-                    priority: l.cfg.priority,
                     queued: l.queue.len(),
                     inflight: l.inflight,
                     submitted: l.submitted,
@@ -433,7 +432,7 @@ impl FleetInner {
             st.pumping = true;
         }
         loop {
-            let mut cancelled: Vec<Completion> = Vec::new();
+            let mut cancelled: Vec<RunFuture> = Vec::new();
             let mut launches: Vec<Launch> = Vec::new();
             {
                 let mut st = self.state.lock();
@@ -461,7 +460,6 @@ impl FleetInner {
                                     LaneView {
                                         tenant: l.id.as_str(),
                                         weight: l.cfg.weight.max(1),
-                                        priority: l.cfg.priority,
                                         queued: l.queue.len(),
                                         inflight: l.inflight,
                                         head_seq: head.seq,
@@ -541,7 +539,6 @@ impl FleetInner {
             LaneView {
                 tenant: l.id.as_str(),
                 weight: l.cfg.weight.max(1),
-                priority: l.cfg.priority,
                 queued: l.queue.len(),
                 inflight: l.inflight,
                 head_seq: head.seq,
@@ -561,7 +558,7 @@ impl FleetInner {
     /// Settles cancelled queued entries without dispatching them and
     /// refunds their budget reservation. Cores are completed by the
     /// caller outside the lock.
-    fn sweep_cancelled(&self, st: &mut FleetState, out: &mut Vec<Completion>) {
+    fn sweep_cancelled(&self, st: &mut FleetState, out: &mut Vec<RunFuture>) {
         for li in 0..st.lanes.len() {
             for qi in (0..st.lanes[li].queue.len()).rev() {
                 if st.lanes[li].queue[qi].core.cancel_requested() {
@@ -671,8 +668,6 @@ pub struct TenantSnapshot {
     pub tenant: String,
     /// Weighted-fair share.
     pub weight: u32,
-    /// Strict-priority level.
-    pub priority: u8,
     /// Submissions parked in the queue right now.
     pub queued: usize,
     /// Submissions in flight right now.

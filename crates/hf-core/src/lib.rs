@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod affinity;
 pub mod analyze;
 pub mod costmodel;
 pub mod data;
@@ -64,20 +63,21 @@ pub mod error;
 pub mod executor;
 pub mod fleet;
 pub mod graph;
+pub(crate) mod gpu_dispatch;
 pub mod inspect;
 pub mod lifecycle;
 pub mod observer;
 pub mod placement;
 pub mod prelude;
+pub(crate) mod recovery;
 pub mod retry;
+pub(crate) mod sched;
 pub mod stats;
 pub(crate) mod stream;
 pub mod task;
 pub(crate) mod topology;
 
-pub use admission::{
-    AdmissionPolicy, Fifo, LaneView, StrictPriority, TenantConfig, TenantId, WeightedFair,
-};
+pub use admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair};
 pub use analyze::{Diagnostic, Report, Severity};
 pub use costmodel::{CostDb, TaskCosts};
 pub use error::HfError;
@@ -95,7 +95,7 @@ pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::{ExecutorStats, StatsSnapshot};
 pub use stream::{EpochFuture, Session, StreamConfig};
 pub use task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
-pub use topology::{CancelHandle, Completion, RunFuture};
+pub use topology::RunFuture;
 
 // Re-export the GPU substrate types that appear in the public API.
 pub use hf_gpu::{GpuConfig, GpuRuntime, KernelArgs, LaunchConfig};

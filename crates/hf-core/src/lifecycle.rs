@@ -146,6 +146,37 @@ pub struct LifecycleEvent {
     pub t_ns: u64,
 }
 
+impl LifecycleEvent {
+    /// A successful run-level event, not yet stamped: the executor sets
+    /// `t_ns` when it emits the event. Task-level events fill in the
+    /// task fields on top of it.
+    pub(crate) fn new(
+        run_id: u64,
+        graph: &Arc<str>,
+        phase: LifecyclePhase,
+        epoch: Option<u64>,
+        tenant: Option<&Arc<str>>,
+    ) -> Self {
+        Self {
+            run_id,
+            graph: Arc::clone(graph),
+            phase,
+            task: None,
+            name: Arc::clone(graph),
+            kind: None,
+            device: None,
+            worker: None,
+            chain: None,
+            bytes: 0,
+            ok: true,
+            detail: None,
+            epoch,
+            tenant: tenant.cloned(),
+            t_ns: 0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

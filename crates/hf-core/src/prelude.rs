@@ -25,9 +25,7 @@
 //! assert_eq!(&*x.read(), &[2, 3, 4]);
 //! ```
 
-pub use crate::admission::{
-    AdmissionPolicy, Fifo, LaneView, StrictPriority, TenantConfig, TenantId, WeightedFair,
-};
+pub use crate::admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair};
 pub use crate::analyze::{Diagnostic, Report, Severity};
 pub use crate::data::HostVec;
 pub use crate::error::HfError;
@@ -41,7 +39,7 @@ pub use crate::retry::{OnDeviceLoss, RetryPolicy};
 pub use crate::stats::{ExecutorStats, StatsSnapshot};
 pub use crate::stream::{EpochFuture, Session, StreamConfig};
 pub use crate::task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
-pub use crate::topology::{CancelHandle, Completion, RunFuture};
+pub use crate::topology::RunFuture;
 
 // GPU substrate types that appear in the public API: device and launch
 // configuration, kernel arguments, errors, and the fault injector.

@@ -46,14 +46,12 @@ use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
 use crate::lifecycle::LifecyclePhase;
 use crate::placement::Placement;
 use crate::topology::{
-    CancelHandle, Completion, EpochGate, FusionPlan, InputGuard, PrologueTrack, RunFuture,
-    TopoExtras, Topology,
+    EpochGate, FusionPlan, InputGuard, PrologueTrack, RunFuture, TopoExtras, Topology,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of a streaming [`Session`].
 #[derive(Debug, Clone, Copy)]
@@ -73,90 +71,41 @@ impl Default for StreamConfig {
     }
 }
 
-/// Future of one streaming epoch, returned by [`Session::submit`].
-/// Shares the [`Completion`] core with `RunFuture`, so waiting,
-/// deadline-bounded waiting, async `.await`, and cooperative
-/// cancellation behave identically. Clones share the same epoch.
-#[derive(Clone)]
-pub struct EpochFuture {
-    pub(crate) core: Completion,
-}
-
-impl EpochFuture {
-    /// Blocks until the epoch finishes; returns its result.
-    pub fn wait(&self) -> Result<(), HfError> {
-        self.core.wait()
-    }
-
-    /// Blocks for at most `timeout`. Returns `None` when the deadline
-    /// expired with the epoch still in flight (it keeps going — call
-    /// `wait*` again or [`EpochFuture::cancel`]), otherwise the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
-        self.core.wait_timeout(timeout)
-    }
-
-    /// Requests cooperative cancellation of this epoch only: in-flight
-    /// task bodies finish, everything not yet started is skipped, and
-    /// the epoch completes with [`HfError::Cancelled`]. Later epochs of
-    /// the stream are unaffected. Cancelling a finished epoch is a
-    /// no-op.
-    pub fn cancel(&self) {
-        self.core.cancel();
-    }
-
-    /// True once the epoch has finished (success or error).
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    /// The owning stream's process-unique run id (`0` for
-    /// immediately-ready futures, which never execute).
-    pub fn run_id(&self) -> u64 {
-        self.core.run_id()
-    }
-
-    /// The epoch index within the stream (`None` for immediately-ready
-    /// error futures).
-    pub fn epoch(&self) -> Option<u64> {
-        self.core.epoch()
-    }
-
-    /// A detached, cloneable handle to this epoch's completion and
-    /// cancellation state (a clone of the shared [`Completion`] core).
-    pub fn handle(&self) -> CancelHandle {
-        self.core.clone()
-    }
-
-    fn ready(result: Result<(), HfError>) -> Self {
-        Self {
-            core: Completion::ready(result),
-        }
-    }
-}
-
-impl std::fmt::Debug for EpochFuture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochFuture")
-            .field("epoch", &self.core.epoch())
-            .field("done", &self.is_done())
-            .finish()
-    }
-}
-
-impl std::future::Future for EpochFuture {
-    type Output = Result<(), HfError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        std::pin::pin!(self.core.clone()).poll(cx)
-    }
-}
+/// Future of one streaming epoch, returned by [`Session::submit`]: the
+/// same [`RunFuture`] type every submission path returns, with
+/// [`RunFuture::epoch`] set. Cancelling it cancels this epoch only.
+pub type EpochFuture = RunFuture;
 
 // ---------------------------------------------------------------------------
 // Sequential driver: run / run_n / run_until over the epoch machinery.
 // ---------------------------------------------------------------------------
+
+/// Claims `shared` for a new submission (`true`), or queues `starter`
+/// behind the active owner — the paper's topology list (§III-C).
+fn claim_or_queue(shared: &GraphShared, starter: impl FnOnce() + Send + 'static) -> bool {
+    let mut rs = shared.run_state.lock();
+    if rs.active {
+        rs.queued.push_back(Box::new(starter));
+        false
+    } else {
+        rs.active = true;
+        true
+    }
+}
+
+/// Hands the graph's run claim to the next queued submission, or marks
+/// the graph idle.
+fn release_claim(shared: &GraphShared) {
+    let next = {
+        let mut rs = shared.run_state.lock();
+        let next = rs.queued.pop_front();
+        rs.active = next.is_some();
+        next
+    };
+    if let Some(starter) = next {
+        starter();
+    }
+}
 
 /// One sequential submission: chains single-round epoch topologies until
 /// the stopping predicate fires, then settles the promise and promotes
@@ -174,7 +123,7 @@ struct SeqDriver {
     /// lost device from the scheduling cache.
     placement: Mutex<Arc<Placement>>,
     fusion: Mutex<Arc<FusionPlan>>,
-    core: Completion,
+    core: RunFuture,
     /// Tenant attribution (fleet submissions); stamped onto each epoch
     /// topology and the run-level lifecycle events.
     tenant: Option<Arc<str>>,
@@ -191,12 +140,12 @@ struct SeqDriver {
 pub(crate) type DoneHook = Box<dyn FnOnce(&Result<(), HfError>, u32) + Send>;
 
 /// Submission context threaded by [`crate::Fleet`] through the driver:
-/// a pre-allocated completion core (so a parked future exists *before*
+/// a pre-allocated future (so a parked future exists *before*
 /// admission), the owning tenant, and a completion callback.
 #[derive(Default)]
 pub(crate) struct DriverExtras {
-    /// Pre-allocated completion core; `None` allocates one internally.
-    pub(crate) core: Option<Completion>,
+    /// Pre-allocated future; `None` allocates one internally.
+    pub(crate) core: Option<RunFuture>,
     /// Tenant attribution for lifecycle events and telemetry.
     pub(crate) tenant: Option<Arc<str>>,
     /// Invoked once when the submission settles (after the promise).
@@ -216,7 +165,7 @@ pub(crate) fn run_driver(
 
 /// [`run_driver`] with fleet submission context ([`DriverExtras`]).
 /// Early failures (executor shut down, plan rejection) settle the
-/// provided core and fire `on_done` before returning, so fleet
+/// provided future and fire `on_done` before returning, so fleet
 /// bookkeeping never leaks an in-flight slot.
 pub(crate) fn run_driver_ext(
     exec: &Executor,
@@ -229,15 +178,15 @@ pub(crate) fn run_driver_ext(
         tenant,
         on_done,
     } = extras;
-    let fail_early = |e: HfError, pre: Option<Completion>, od: Option<DoneHook>| {
+    let fail_early = |e: HfError, pre: Option<RunFuture>, od: Option<DoneHook>| {
         let result = Err(e);
         if let Some(cb) = od {
             cb(&result, 0);
         }
         match pre {
-            Some(c) => {
-                c.promise.complete(result);
-                RunFuture { core: c }
+            Some(f) => {
+                f.promise.complete(result);
+                f
             }
             None => RunFuture::ready(result),
         }
@@ -252,18 +201,17 @@ pub(crate) fn run_driver_ext(
     };
     let core = match pre_core {
         Some(c) => c,
-        None => Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1),
+        None => RunFuture::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1, None),
     };
     let run_id = core.run_id();
     let label: Arc<str> = Arc::from(plan.frozen.name());
-    inner.emit_raw_run_lc(
+    inner.emit_run_lc(
         run_id,
         &label,
         LifecyclePhase::RunStart,
-        true,
-        None,
         None,
         tenant.as_ref(),
+        Ok(&()),
     );
     if let Some(report) = &plan.lint_report {
         inner.emit_lint_lc(run_id, &label, report);
@@ -288,23 +236,11 @@ pub(crate) fn run_driver_ext(
         on_done: Mutex::new(on_done),
     });
 
-    // Claim the graph, or queue a starter behind the active owner (the
-    // paper's topology list, §III-C).
-    let run_now = {
-        let mut rs = hf.shared.run_state.lock();
-        if rs.active {
-            let d = Arc::clone(&driver);
-            rs.queued.push_back(Box::new(move || d.step()));
-            false
-        } else {
-            rs.active = true;
-            true
-        }
-    };
-    if run_now {
+    let d = Arc::clone(&driver);
+    if claim_or_queue(&hf.shared, move || d.step()) {
         driver.step();
     }
-    RunFuture { core }
+    core
 }
 
 impl SeqDriver {
@@ -381,28 +317,15 @@ impl SeqDriver {
         if matches!(result, Err(HfError::Cancelled)) {
             self.inner.stats.cancelled.incr();
         }
-        self.inner.emit_raw_run_lc(
+        self.inner.emit_run_lc(
             self.run_id,
             &self.label,
             LifecyclePhase::RunEnd,
-            result.is_ok(),
-            result.as_ref().err(),
             None,
             self.tenant.as_ref(),
+            result.as_ref(),
         );
-        let next = {
-            let mut rs = self.shared.run_state.lock();
-            match rs.queued.pop_front() {
-                Some(s) => Some(s),
-                None => {
-                    rs.active = false;
-                    None
-                }
-            }
-        };
-        if let Some(starter) = next {
-            starter();
-        }
+        release_claim(&self.shared);
         // The done hook (the fleet's slot release) runs *before* the
         // promise settles: a submitter woken by the completion then finds
         // the in-flight slot already freed instead of contending with
@@ -412,10 +335,7 @@ impl SeqDriver {
             cb(&result, self.retries.load(Ordering::Relaxed));
         }
         self.core.promise.complete(result.clone());
-        if self.inner.num_topologies.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.inner.idle_lock.lock();
-            self.inner.idle_cv.notify_all();
-        }
+        self.inner.drop_inflight();
     }
 }
 
@@ -504,7 +424,7 @@ struct SessState {
 struct PendingEpoch {
     epoch: u64,
     mutator: Option<Box<dyn FnOnce() + Send>>,
-    core: Completion,
+    core: RunFuture,
 }
 
 impl Session {
@@ -569,7 +489,14 @@ impl Session {
 
         let run_id = inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let label: Arc<str> = Arc::from(frozen.name());
-        inner.emit_raw_run_lc(run_id, &label, LifecyclePhase::RunStart, true, None, None, None);
+        inner.emit_run_lc(
+            run_id,
+            &label,
+            LifecyclePhase::RunStart,
+            None,
+            None,
+            Ok(&()),
+        );
         if let Some(report) = &plan.lint_report {
             inner.emit_lint_lc(run_id, &label, report);
         }
@@ -617,24 +544,15 @@ impl Session {
             cv: Condvar::new(),
         });
 
-        // Claim the graph now, or queue a starter behind its active
-        // owner; submissions accepted meanwhile park in the queue.
-        let claim_now = {
-            let mut rs = hf.shared.run_state.lock();
-            if rs.active {
-                let c = Arc::clone(&core);
-                rs.queued.push_back(Box::new(move || {
-                    c.state.lock().claimed = true;
-                    c.cv.notify_all();
-                    c.pump();
-                }));
-                false
-            } else {
-                rs.active = true;
-                true
-            }
+        // Submissions accepted before a queued session is claimed park in
+        // its queue.
+        let c = Arc::clone(&core);
+        let starter = move || {
+            c.state.lock().claimed = true;
+            c.cv.notify_all();
+            c.pump();
         };
-        if claim_now {
+        if claim_or_queue(&hf.shared, starter) {
             core.state.lock().claimed = true;
         }
         Ok(Session { core })
@@ -705,13 +623,13 @@ impl Drop for Session {
 impl SessionCore {
     fn submit_inner(self: &Arc<Self>, mutator: Option<Box<dyn FnOnce() + Send>>) -> EpochFuture {
         if self.inner.done.load(Ordering::SeqCst) {
-            return EpochFuture::ready(Err(HfError::ExecutorShutDown));
+            return RunFuture::ready(Err(HfError::ExecutorShutDown));
         }
         let core = {
             let mut st = self.state.lock();
             loop {
                 if st.closed {
-                    return EpochFuture::ready(Err(HfError::StreamClosed));
+                    return RunFuture::ready(Err(HfError::StreamClosed));
                 }
                 if st.inflight < self.depth {
                     break;
@@ -720,7 +638,7 @@ impl SessionCore {
             }
             let e = st.next_epoch;
             st.next_epoch += 1;
-            let core = Completion::new_epoch(self.run_id, e);
+            let core = RunFuture::new(self.run_id, Some(e));
             if st.inflight == 0 && !st.holding {
                 st.holding = true;
                 self.inner.num_topologies.fetch_add(1, Ordering::SeqCst);
@@ -734,7 +652,7 @@ impl SessionCore {
             core
         };
         self.pump();
-        EpochFuture { core }
+        core
     }
 
     /// Admits every epoch whose turn has come: the previous epoch's
@@ -812,14 +730,13 @@ impl SessionCore {
                 Arc::clone(&pending.core.cancel),
                 extras,
             );
-            self.inner.emit_raw_run_lc(
+            self.inner.emit_run_lc(
                 self.run_id,
                 &self.label,
                 LifecyclePhase::EpochStart,
-                true,
-                None,
                 Some(e),
                 None,
+                Ok(&()),
             );
             self.inner.registry.register(&topo);
             self.inner.num_topologies.fetch_add(1, Ordering::SeqCst);
@@ -867,7 +784,7 @@ impl SessionCore {
     /// re-places against survivors after an unrecovered device loss,
     /// advances the completion watermark, opens now-eligible gates,
     /// settles the epoch's promise, and releases backpressure.
-    fn on_epoch_done(self: &Arc<Self>, topo: &Arc<Topology>, e: u64, core: Completion) {
+    fn on_epoch_done(self: &Arc<Self>, topo: &Arc<Topology>, e: u64, core: RunFuture) {
         let result = topo.result();
         let mut to_open: Vec<Arc<Topology>> = Vec::new();
         let release = {
@@ -928,9 +845,8 @@ impl SessionCore {
             self.inner.open_gate(t);
         }
         core.promise.complete(result);
-        if release && self.inner.num_topologies.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.inner.idle_lock.lock();
-            self.inner.idle_cv.notify_all();
+        if release {
+            self.inner.drop_inflight();
         }
         self.cv.notify_all();
         self.pump();
@@ -942,26 +858,16 @@ impl SessionCore {
     /// placement failure (no devices left) keeps the old plan: further
     /// epochs fail individually, which is the honest outcome.
     fn replace_on_survivors(&self, st: &mut SessState) {
-        let devices = self.inner.gpu.devices();
-        let lost: Vec<bool> = devices.iter().map(|d| d.is_lost()).collect();
+        let lost = self.inner.note_lost_devices();
         if !lost.iter().any(|&l| l) {
             return;
         }
-        for (d, &l) in lost.iter().enumerate() {
-            if l && !self.inner.lost_seen[d].swap(true, Ordering::Relaxed) {
-                self.inner.stats.devices_lost.incr();
-            }
-        }
-        let cost = devices
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default();
         let refined = self.inner.refined_costs(self.frozen.name());
         if let Ok(p) = crate::placement::failover_placement_ext(
             &*self.frozen,
             &st.placement.device_of,
             &lost,
-            &cost,
+            &self.inner.cost_model(),
             self.inner.policy,
             refined.as_ref(),
         ) {
@@ -994,27 +900,14 @@ impl SessionCore {
             }
             st.run_ended = true;
         }
-        self.inner.emit_raw_run_lc(
+        self.inner.emit_run_lc(
             self.run_id,
             &self.label,
             LifecyclePhase::RunEnd,
-            true,
             None,
             None,
-            None,
+            Ok(&()),
         );
-        let next = {
-            let mut rs = self.shared.run_state.lock();
-            match rs.queued.pop_front() {
-                Some(s) => Some(s),
-                None => {
-                    rs.active = false;
-                    None
-                }
-            }
-        };
-        if let Some(starter) = next {
-            starter();
-        }
+        release_claim(&self.shared);
     }
 }

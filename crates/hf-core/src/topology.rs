@@ -19,8 +19,8 @@
 //! (`run`, `run_n`, `run_until`) and the streaming [`crate::Session`]
 //! both create a fresh topology per epoch and chain them through the
 //! [`Topology::on_finish`] hook, so there is a single execution code
-//! path. All wait/cancel state lives in the shared [`Completion`] core,
-//! which both [`RunFuture`] and [`crate::EpochFuture`] wrap.
+//! path. All wait/cancel state lives in [`RunFuture`], the one future
+//! type for runs and streaming epochs alike.
 
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, PullState};
@@ -105,17 +105,22 @@ impl Promise {
     }
 }
 
-/// The shared wait/cancel core behind every run- and epoch-future.
+/// Future of one submission: returned by [`crate::Executor::run`] and
+/// friends, by [`crate::Fleet::submit`], and — as [`crate::EpochFuture`]
+/// — by [`crate::Session::submit`]. All run methods are non-blocking:
+/// "issuing a run on a graph returns immediately with a C++ future
+/// object" (§III-B).
 ///
-/// This is the *blessed* completion surface (see DESIGN.md): one promise,
-/// one cooperative cancellation flag, the submission's process-unique
-/// `run_id`, and — for streaming epochs — the epoch index. [`RunFuture`]
-/// and [`crate::EpochFuture`] are thin newtypes over a `Completion`;
-/// detached monitor handles (watchdogs, deadline enforcers) hold a clone
-/// of the same core, so `wait`, `wait_timeout`, deadline-cancel, and
-/// watchdog cancellation all observe identical state.
+/// This is the one completion type (see DESIGN.md): one promise, one
+/// cooperative cancellation flag, the submission's process-unique
+/// `run_id`, and — for streaming epochs — the epoch index. It supports
+/// blocking ([`RunFuture::wait`]), deadline-bounded
+/// ([`RunFuture::wait_timeout`]), and async (`.await`) consumption, plus
+/// cooperative cancellation ([`RunFuture::cancel`]). Clones share the
+/// same state, so a monitor thread (watchdog, deadline enforcer) holds a
+/// clone and observes exactly what the owner's `wait` does.
 #[derive(Clone)]
-pub struct Completion {
+pub struct RunFuture {
     pub(crate) promise: Arc<Promise>,
     /// Cooperative cancellation flag, shared with the topology: checked
     /// at task boundaries, round boundaries, and inside pending GPU
@@ -125,34 +130,25 @@ pub struct Completion {
     pub(crate) epoch: Option<u64>,
 }
 
-impl Completion {
-    /// A fresh, incomplete core for one run.
-    pub(crate) fn new(run_id: u64) -> Self {
+impl RunFuture {
+    /// A fresh, incomplete future for one run (`epoch` is `None`) or one
+    /// streaming epoch.
+    pub(crate) fn new(run_id: u64, epoch: Option<u64>) -> Self {
         Self {
             promise: Promise::new(),
             cancel: Arc::new(AtomicBool::new(false)),
             run_id,
-            epoch: None,
+            epoch,
         }
     }
 
-    /// A fresh, incomplete core for one streaming epoch.
-    pub(crate) fn new_epoch(run_id: u64, epoch: u64) -> Self {
-        Self {
-            promise: Promise::new(),
-            cancel: Arc::new(AtomicBool::new(false)),
-            run_id,
-            epoch: Some(epoch),
-        }
-    }
-
-    /// An already-completed core (empty graphs, rejected submissions).
+    /// An already-completed future (empty graphs, rejected submissions).
     /// Carries run id `0`: such futures never execute and never emit
     /// lifecycle events.
     pub(crate) fn ready(result: Result<(), HfError>) -> Self {
-        let c = Self::new(0);
-        c.promise.complete(result);
-        c
+        let f = Self::new(0, None);
+        f.promise.complete(result);
+        f
     }
 
     /// Blocks until the run/epoch finishes; returns its result.
@@ -162,7 +158,7 @@ impl Completion {
 
     /// Blocks for at most `timeout`. Returns `None` when the deadline
     /// expired with the work still in flight (it keeps going — call
-    /// `wait*` again or [`Completion::cancel`]), otherwise the result.
+    /// `wait*` again or [`RunFuture::cancel`]), otherwise the result.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
         self.promise.wait_timeout(timeout)
     }
@@ -170,7 +166,9 @@ impl Completion {
     /// Requests cooperative cancellation. Non-blocking: in-flight task
     /// bodies finish, everything not yet started is skipped (including
     /// ops already enqueued on GPU streams), and the run/epoch completes
-    /// with [`HfError::Cancelled`]. Cancelling finished work is a no-op.
+    /// with [`HfError::Cancelled`]. Cancelling one epoch leaves later
+    /// epochs of its stream unaffected; cancelling finished work is a
+    /// no-op.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Release);
     }
@@ -199,105 +197,14 @@ impl Completion {
     }
 }
 
-impl std::fmt::Debug for Completion {
+impl std::fmt::Debug for RunFuture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Completion")
+        f.debug_struct("RunFuture")
             .field("run_id", &self.run_id)
             .field("epoch", &self.epoch)
             .field("done", &self.is_done())
             .field("cancel_requested", &self.cancel.load(Ordering::Relaxed))
             .finish()
-    }
-}
-
-impl std::future::Future for Completion {
-    type Output = Result<(), HfError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> Poll<Self::Output> {
-        self.promise.poll(cx)
-    }
-}
-
-/// Superseded by [`Completion`], which a `CancelHandle` now is: the
-/// detached handle used by health monitors to watch progress and trip
-/// cooperative cancellation is the same shared core the futures wrap.
-#[doc(hidden)]
-pub type CancelHandle = Completion;
-
-/// Future returned by [`crate::Executor::run`] and friends. All run
-/// methods are non-blocking: "issuing a run on a graph returns immediately
-/// with a C++ future object" (§III-B). Supports blocking
-/// ([`RunFuture::wait`]), deadline-bounded ([`RunFuture::wait_timeout`]),
-/// and async (`.await`) consumption, plus cooperative cancellation
-/// ([`RunFuture::cancel`]). Clones share the same run.
-#[derive(Clone)]
-pub struct RunFuture {
-    pub(crate) core: Completion,
-}
-
-impl std::fmt::Debug for RunFuture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunFuture")
-            .field("done", &self.is_done())
-            .field(
-                "cancel_requested",
-                &self.core.cancel.load(Ordering::Relaxed),
-            )
-            .finish()
-    }
-}
-
-impl RunFuture {
-    /// Blocks until the run finishes; returns its result.
-    pub fn wait(&self) -> Result<(), HfError> {
-        self.core.wait()
-    }
-
-    /// Blocks for at most `timeout`. Returns `None` when the deadline
-    /// expired with the run still in flight (the run keeps going — call
-    /// `wait*` again or [`RunFuture::cancel`] it), otherwise the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
-        self.core.wait_timeout(timeout)
-    }
-
-    /// Requests cooperative cancellation. Non-blocking: in-flight task
-    /// bodies finish, everything not yet started is skipped (including
-    /// ops already enqueued on GPU streams), and the run completes with
-    /// [`HfError::Cancelled`]. Cancelling a finished run is a no-op.
-    pub fn cancel(&self) {
-        self.core.cancel();
-    }
-
-    /// True once the run has finished (success or error).
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    /// Process-unique id of this submission. Lifecycle events recorded by
-    /// a flight recorder carry the same id, so a health monitor can map a
-    /// future to its event stream (`0` for immediately-ready futures,
-    /// which never execute and never emit events).
-    pub fn run_id(&self) -> u64 {
-        self.core.run_id()
-    }
-
-    /// A detached, cloneable handle to this run's completion and
-    /// cancellation state — for monitor threads (watchdogs, deadline
-    /// enforcers) that run beside whoever owns the future itself. Since
-    /// the wait-semantics unification this is simply a clone of the
-    /// shared [`Completion`] core.
-    pub fn handle(&self) -> CancelHandle {
-        self.core.clone()
-    }
-
-    /// An already-completed future (empty graphs, zero repeats).
-    pub(crate) fn ready(result: Result<(), HfError>) -> Self {
-        Self {
-            core: Completion::ready(result),
-        }
     }
 }
 
@@ -308,7 +215,7 @@ impl std::future::Future for RunFuture {
         self: std::pin::Pin<&mut Self>,
         cx: &mut std::task::Context<'_>,
     ) -> Poll<Self::Output> {
-        self.core.promise.poll(cx)
+        self.promise.poll(cx)
     }
 }
 
@@ -404,8 +311,8 @@ pub(crate) struct Topology {
     /// Set once an error occurs: remaining task bodies are skipped while
     /// the round drains.
     pub(crate) cancelled: AtomicBool,
-    /// Cooperative cancellation requested via [`Completion::cancel`];
-    /// shared with the owning future's core.
+    /// Cooperative cancellation requested via [`RunFuture::cancel`];
+    /// shared with the owning future.
     pub(crate) cancel: Arc<AtomicBool>,
     /// Rounds completed (diagnostic).
     pub(crate) rounds: AtomicUsize,
@@ -672,12 +579,10 @@ mod tests {
 
     fn test_future(c: &Arc<Promise>) -> RunFuture {
         RunFuture {
-            core: Completion {
-                promise: Arc::clone(c),
-                cancel: Arc::new(AtomicBool::new(false)),
-                run_id: 0,
-                epoch: None,
-            },
+            promise: Arc::clone(c),
+            cancel: Arc::new(AtomicBool::new(false)),
+            run_id: 0,
+            epoch: None,
         }
     }
 
@@ -723,11 +628,8 @@ mod tests {
         let fut = test_future(&c);
         let clone = fut.clone();
         clone.cancel();
-        assert!(fut.core.cancel.load(Ordering::Acquire));
-        // The detached handle observes and controls the same core.
-        let h = fut.handle();
-        assert!(h.cancel_requested());
-        assert!(!h.is_done());
+        assert!(fut.cancel_requested());
+        assert!(!fut.is_done());
     }
 
     #[test]
@@ -748,20 +650,20 @@ mod tests {
     #[test]
     fn completion_core_is_awaitable_and_tagged() {
         let c = Promise::new();
-        let core = Completion {
+        let fut = RunFuture {
             promise: Arc::clone(&c),
             cancel: Arc::new(AtomicBool::new(false)),
             run_id: 7,
             epoch: Some(3),
         };
-        assert_eq!(core.run_id(), 7);
-        assert_eq!(core.epoch(), Some(3));
+        assert_eq!(fut.run_id(), 7);
+        assert_eq!(fut.epoch(), Some(3));
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(5));
             c2.complete(Ok(()));
         });
-        assert!(pollster_block_on(core).is_ok());
+        assert!(pollster_block_on(fut).is_ok());
         t.join().unwrap();
     }
 

@@ -147,8 +147,16 @@ impl Drop for GpuRuntime {
             d.inner.engine.shutdown.store(true, Ordering::Release);
             d.inner.engine.cv.notify_all();
         }
+        // An engine-thread closure may hold the last `Arc` to the runtime
+        // (e.g. through an executor it captured), in which case this drop
+        // runs *on* an engine thread. Joining that thread from itself
+        // would deadlock, so its handle is detached instead; the engine
+        // exits on its own once the current op returns.
+        let me = std::thread::current().id();
         for h in self.engines.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -190,6 +198,29 @@ mod tests {
             // rt dropped here: engines must shut down without hanging.
         }
         assert_eq!(counter.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn last_arc_dropped_on_engine_thread_does_not_self_join() {
+        let rt = Arc::new(GpuRuntime::new(2, GpuConfig::default()));
+        let s = Stream::new(&rt.device(0).unwrap());
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let held = Arc::clone(&rt);
+        s.host_fn(move || {
+            gate_rx.recv().unwrap();
+            // The last Arc: GpuRuntime::drop runs on this engine thread.
+            drop(held);
+            done_tx.send(()).unwrap();
+        });
+        drop(rt);
+        gate_tx.send(()).unwrap();
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .is_ok(),
+            "dropping the runtime on its own engine thread must not panic"
+        );
     }
 
     #[test]

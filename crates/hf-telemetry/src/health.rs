@@ -23,7 +23,7 @@
 
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
 use hf_core::{
-    lifecycle_now_ns, CancelHandle, ExecutorObserver, LifecycleEvent, LifecyclePhase, RunFuture,
+    lifecycle_now_ns, ExecutorObserver, LifecycleEvent, LifecyclePhase, RunFuture,
     TaskMeta,
 };
 use hf_sync::EventRing;
@@ -1034,7 +1034,8 @@ impl Default for WatchdogConfig {
 
 /// One armed run, tracked by the monitor thread.
 struct ArmedRun {
-    handle: CancelHandle,
+    /// A clone of the run's future: observes (and cancels) the same run.
+    fut: RunFuture,
     label: String,
     level: HealthVerdict,
     last_events: u64,
@@ -1064,8 +1065,8 @@ impl WatchInner {
             if run.done {
                 continue;
             }
-            let run_id = run.handle.run_id();
-            if run.handle.is_done() {
+            let run_id = run.fut.run_id();
+            if run.fut.is_done() {
                 run.done = true;
                 if run.level > HealthVerdict::Healthy {
                     out.push(HealthEvent::Recovered {
@@ -1159,7 +1160,7 @@ impl WatchInner {
             if let Some(deadline) = cfg.cancel_after {
                 if !run.cancelled && idle >= deadline {
                     run.cancelled = true;
-                    run.handle.cancel();
+                    run.fut.cancel();
                     out.push(HealthEvent::DeadlineCancelled { run_id, t_ns: now });
                 }
             }
@@ -1231,14 +1232,9 @@ impl Watchdog {
         if fut.run_id() == 0 || fut.is_done() {
             return;
         }
-        self.arm_handle(fut.handle(), label);
-    }
-
-    /// Arms the watchdog for a detached [`CancelHandle`].
-    pub fn arm_handle(&self, handle: CancelHandle, label: &str) {
         let now = lifecycle_now_ns();
         self.inner.runs.lock().push(ArmedRun {
-            handle,
+            fut: fut.clone(),
             label: label.to_string(),
             level: HealthVerdict::Healthy,
             last_events: 0,
@@ -1279,7 +1275,7 @@ impl Watchdog {
                 runs.iter()
                     .map(|r| {
                         let mut ro = Map::new();
-                        ro.insert("run_id".into(), Value::UInt(r.handle.run_id()));
+                        ro.insert("run_id".into(), Value::UInt(r.fut.run_id()));
                         ro.insert("label".into(), Value::Str(r.label.clone()));
                         ro.insert("level".into(), Value::Str(r.level.name().to_string()));
                         ro.insert("done".into(), Value::Bool(r.done));
@@ -1538,10 +1534,9 @@ mod tests {
                 ..WatchdogConfig::default()
             },
         );
-        // Arm a synthetic run via a never-completing handle substitute:
-        // use a real executor run? Simpler: recorder-only escalation needs
-        // a CancelHandle, so drive a real (blocked) run in the executor
-        // integration tests; here exercise verdict bookkeeping directly.
+        // Recorder-only escalation needs a live run future, so the
+        // executor integration tests drive a real (blocked) run; here
+        // exercise verdict bookkeeping directly.
         assert_eq!(wd.verdict(), HealthVerdict::Healthy);
         assert!(wd.events().is_empty());
     }

@@ -96,10 +96,11 @@ pub fn build_correlation_graph(
     let g = Heteroflow::new("timing-correlation");
     let report = Arc::new(Mutex::new(CorrelationReport::default()));
 
-    // Shared per-view result storage read by the final report task.
+    // Shared per-view result storage read by the final report task: one
+    // fixed slot per view, overwritten by every run of the graph.
     let all_weights: Arc<Vec<HostVec<f32>>> =
         Arc::new((0..views.len()).map(|_| HostVec::new()).collect());
-    let all_stats: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let all_stats: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(vec![0.0; views.len()]));
 
     let mut stats_tasks = Vec::with_capacity(views.len());
 
@@ -160,7 +161,7 @@ pub fn build_correlation_graph(
                 let y = labels.read();
                 let w = weights.read();
                 let acc = regression::accuracy(&w, &x, &y, NUM_FEATURES);
-                all_stats.lock().push((vi, acc));
+                all_stats.lock()[vi] = acc;
             }
         });
 
@@ -183,10 +184,7 @@ pub fn build_correlation_graph(
         move || {
             let weights: Vec<Vec<f32>> =
                 all_weights.iter().map(|w| w.to_vec()).collect();
-            let mut acc = vec![0.0f64; nviews];
-            for &(vi, a) in all_stats.lock().iter() {
-                acc[vi] = a;
-            }
+            let acc = all_stats.lock().clone();
             let mut pairwise = Vec::new();
             for i in 0..nviews {
                 for j in (i + 1)..nviews {
@@ -289,6 +287,31 @@ mod tests {
             assert!((0.0..=1.0).contains(&a));
         }
         assert!(report.mean_correlation.abs() <= 1.0 + 1e-9);
+    }
+
+    /// Resubmitting one built graph recomputes the same report: per-view
+    /// results land in fixed slots, so nothing accumulates across runs.
+    #[test]
+    fn resubmitted_graph_reports_identically() {
+        let views = make_views(2, 0.4);
+        let cfg = CorrelationConfig {
+            paths_per_view: 64,
+            epochs: 20,
+            ..Default::default()
+        };
+        let built = build_correlation_graph(small_circuit(), &views, cfg);
+        let ex = Executor::new(2, 2);
+        let mut reports = Vec::new();
+        for _ in 0..3 {
+            ex.run(&built.graph).wait().unwrap();
+            reports.push(built.report.lock().clone());
+        }
+        for r in &reports[1..] {
+            assert_eq!(r.weights, reports[0].weights);
+            assert_eq!(r.accuracy, reports[0].accuracy);
+            assert_eq!(r.pairwise, reports[0].pairwise);
+            assert_eq!(r.accuracy.len(), 2);
+        }
     }
 
     /// The GPU-trained weights must match the CPU reference bit-for-bit

@@ -108,25 +108,90 @@ fn host_mutation_forces_recopy() {
     assert_eq!(ex.stats().snapshot().transfers_elided, 0);
 }
 
-/// Transfers above the chunk threshold are split across copy lanes and
-/// reassemble to exactly the right bytes in both directions.
+/// The copy path as a table: transfer sizes around the chunk threshold
+/// `T` (one chunk up to `T`, then two, then four) over 1-3 copy lanes,
+/// each a pull into the device and a push back out into a second host
+/// buffer. For every case:
+///
+/// * the pushed bytes are bit-identical to the pulled ones, and the byte
+///   counters equal the bytes moved;
+/// * an unchanged resubmit elides the pull;
+/// * every chunk op draws exactly one fault verdict and an elided pull
+///   draws none (counted through zero-delay stalls, drawn at the same
+///   sites), so seeded fault plans replay the same verdicts;
+/// * at fault probability 1 the first chunk's draw faults and the
+///   remaining chunks of that transfer never draw.
 #[test]
 fn chunked_copies_are_correct() {
-    const N: usize = 1000; // 4000 bytes -> 63 chunks at a 64-byte threshold
-    let ex = Executor::builder(2, 1)
-        .copy_chunk_threshold(64)
-        .copy_lanes(3)
-        .build();
-    let data = HostVec::from_vec((0..N as i32).collect());
-    let g = increment_graph(&data, N);
-    ex.run(&g).wait().expect("runs");
-    let d = data.read();
-    for (i, &v) in d.iter().enumerate() {
-        assert_eq!(v, i as i32 + 1, "element {i}");
+    const T: usize = 64;
+    let pattern = |n: usize, salt: u8| -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect()
+    };
+    for size in [1, T - 1, T, T + 1, 3 * T + 1] {
+        let chunks = size.div_ceil(T) as u64;
+        for lanes in 1..=3 {
+            let case = format!("size {size}, {lanes} lane(s)");
+            let ex = Executor::builder(2, 1)
+                .copy_chunk_threshold(T)
+                .copy_lanes(lanes)
+                .build();
+            let rt = ex.gpu_runtime();
+            let src: HostVec<u8> = HostVec::from_vec(pattern(size, 0));
+            let dst: HostVec<u8> = HostVec::new();
+            let g = Heteroflow::new("table");
+            let p = g.pull("pull", &src);
+            let s = g.push("push", &p, &dst);
+            p.precede(&s);
+
+            ex.run(&g).wait().expect("round trip");
+            assert_eq!(*dst.read(), *src.read(), "{case}: bytes round-trip");
+            let st = ex.stats().snapshot();
+            assert_eq!(
+                (st.bytes_h2d, st.bytes_d2h),
+                (size as u64, size as u64),
+                "{case}"
+            );
+
+            ex.run(&g).wait().expect("unchanged resubmit");
+            let st = ex.stats().snapshot();
+            assert_eq!(st.transfers_elided, 1, "{case}: unchanged resubmit elides");
+            assert_eq!(
+                (st.bytes_h2d, st.bytes_d2h),
+                (size as u64, 2 * size as u64),
+                "{case}"
+            );
+
+            let mut count_draws = FaultPlan::seeded(1);
+            for site in [FaultSite::H2d, FaultSite::D2h] {
+                count_draws = count_draws.stall(site, std::time::Duration::ZERO, 1.0);
+            }
+            rt.set_fault_plan(Some(count_draws.clone()));
+            ex.run(&g).wait().expect("elided pull");
+            assert_eq!(rt.stalls_injected(), chunks, "{case}: only the push draws");
+
+            *src.write() = pattern(size, 0x5A);
+            rt.set_fault_plan(Some(count_draws));
+            ex.run(&g).wait().expect("fresh pull");
+            assert_eq!(
+                rt.stalls_injected(),
+                2 * chunks,
+                "{case}: one draw per chunk"
+            );
+            assert_eq!(*dst.read(), *src.read(), "{case}: new bytes round-trip");
+
+            for (salt, site) in [(1, FaultSite::H2d), (2, FaultSite::D2h)] {
+                *src.write() = pattern(size, salt);
+                rt.set_fault_plan(Some(FaultPlan::seeded(2).fail(site, 1.0)));
+                let err = ex.run(&g).wait().expect_err("every draw faults");
+                assert!(matches!(
+                    err.gpu_cause(),
+                    Some(GpuError::FaultInjected { .. })
+                ));
+                assert_eq!(rt.faults_injected(), 1, "{case}: {site:?} faults once");
+            }
+            rt.set_fault_plan(None);
+        }
     }
-    let s = ex.stats().snapshot();
-    assert_eq!(s.bytes_h2d, (N * 4) as u64);
-    assert_eq!(s.bytes_d2h, (N * 4) as u64);
 }
 
 /// The chunked path participates in elision too: an unchanged rerun
