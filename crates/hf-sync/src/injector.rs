@@ -22,9 +22,10 @@
 //!   side, letting a thief refill its local deque in one operation
 //!   (analogous to crossbeam's `steal_batch_and_pop`).
 //!
-//! `T: Copy` (work items are packed `u64` tokens), which keeps slot reads
-//! trivially safe: a value is bit-copied out exactly once because each
-//! slot index is claimed by exactly one consumer.
+//! Values are moved out of their slot exactly once, because each slot
+//! index is claimed by exactly one consumer; values still queued when the
+//! injector is dropped are dropped with it. The same queue, wrapped with a
+//! capacity check, is the telemetry [`crate::EventRing`].
 
 use crate::backoff::Backoff;
 use crate::pad::CachePadded;
@@ -91,6 +92,17 @@ impl<T> Block<T> {
         }
     }
 
+    /// Writes `value` into slot `offset` and publishes it to its reader.
+    ///
+    /// # Safety
+    /// The caller must own the write claim on slot `offset` of the live
+    /// block `this`.
+    unsafe fn write(this: *mut Block<T>, offset: usize, value: T) {
+        let slot = (*this).slots.get_unchecked(offset);
+        slot.value.get().write(MaybeUninit::new(value));
+        slot.state.fetch_or(WRITE, Ordering::Release);
+    }
+
     /// Frees the block once every slot in `start..` has been read.
     ///
     /// Walks the slots setting `DESTROY`; if a slot's reader has not
@@ -122,7 +134,7 @@ struct Position<T> {
 }
 
 /// A lock-free unbounded MPMC queue with single-CAS batch operations.
-pub struct Injector<T: Copy> {
+pub struct Injector<T> {
     head: CachePadded<Position<T>>,
     tail: CachePadded<Position<T>>,
 }
@@ -130,18 +142,35 @@ pub struct Injector<T: Copy> {
 // SAFETY: values cross threads only through slots whose WRITE/READ state
 // bits form acquire/release handshakes, and each slot index is claimed by
 // exactly one producer and one consumer; `T: Send` is all that's required.
-unsafe impl<T: Copy + Send> Send for Injector<T> {}
+unsafe impl<T: Send> Send for Injector<T> {}
 // SAFETY: as above — all shared mutation goes through atomics and
 // uniquely-claimed slots.
-unsafe impl<T: Copy + Send> Sync for Injector<T> {}
+unsafe impl<T: Send> Sync for Injector<T> {}
 
-impl<T: Copy> Default for Injector<T> {
+impl<T> Default for Injector<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<T: Copy> Injector<T> {
+    /// Pushes a slice of values, claiming each block-contiguous range of
+    /// tail slots with a single CAS. An empty slice is a no-op.
+    pub fn push_batch(&self, values: &[T]) {
+        let mut remaining = values;
+        while !remaining.is_empty() {
+            let (block, offset, n) = self.claim(remaining.len());
+            for (i, v) in remaining[..n].iter().enumerate() {
+                // SAFETY: `claim` handed this thread slots
+                // [offset, offset + n) of `block`.
+                unsafe { Block::write(block, offset + i, *v) };
+            }
+            remaining = &remaining[n..];
+        }
+    }
+}
+
+impl<T> Injector<T> {
     /// Creates an empty injector. The first block is allocated lazily on
     /// first push.
     pub fn new() -> Self {
@@ -159,22 +188,15 @@ impl<T: Copy> Injector<T> {
 
     /// Pushes one value.
     pub fn push(&self, value: T) {
-        self.push_batch(&[value]);
+        let (block, offset, _) = self.claim(1);
+        // SAFETY: `claim` handed this thread slot `offset` of `block`.
+        unsafe { Block::write(block, offset, value) };
     }
 
-    /// Pushes a slice of values, claiming each block-contiguous range of
-    /// tail slots with a single CAS. An empty slice is a no-op.
-    pub fn push_batch(&self, values: &[T]) {
-        let mut remaining = values;
-        while !remaining.is_empty() {
-            let n = self.push_range(remaining);
-            remaining = &remaining[n..];
-        }
-    }
-
-    /// Claims up to `values.len()` slots in the current tail block and
-    /// writes them; returns how many were written (at least 1).
-    fn push_range(&self, values: &[T]) -> usize {
+    /// Claims up to `want` (at least 1) slots in the current tail block
+    /// with one CAS. Returns the block, the first claimed offset and the
+    /// claimed count; the caller must write every claimed slot.
+    fn claim(&self, want: usize) -> (*mut Block<T>, usize, usize) {
         let mut backoff = Backoff::new();
         let mut tail = self.tail.index.load(Ordering::Acquire);
         let mut block = self.tail.block.load(Ordering::Acquire);
@@ -191,7 +213,7 @@ impl<T: Copy> Injector<T> {
                 continue;
             }
 
-            let n = values.len().min(BLOCK_CAP - offset);
+            let n = want.min(BLOCK_CAP - offset);
 
             // Pre-allocate the next block if this claim reaches the end of
             // the current one.
@@ -232,10 +254,7 @@ impl<T: Copy> Injector<T> {
                 Ordering::SeqCst,
                 Ordering::Acquire,
             ) {
-                // SAFETY: the successful CAS hands this thread exclusive
-                // write ownership of slots [offset, offset + n) in `block`,
-                // which stays alive until its final slot is read.
-                Ok(_) => unsafe {
+                Ok(_) => {
                     // Claimed slots [offset, offset + n). If the claim
                     // covers the final slot, install the next block before
                     // writing so stalled producers/consumers can proceed.
@@ -244,15 +263,12 @@ impl<T: Copy> Injector<T> {
                         let next_index = new_tail.wrapping_add(1 << SHIFT);
                         self.tail.block.store(next, Ordering::Release);
                         self.tail.index.store(next_index, Ordering::Release);
-                        (*block).next.store(next, Ordering::Release);
+                        // SAFETY: `block` stays alive until its final
+                        // slot, which this claim owns, is read.
+                        unsafe { (*block).next.store(next, Ordering::Release) };
                     }
-                    for (i, v) in values[..n].iter().enumerate() {
-                        let slot = (*block).slots.get_unchecked(offset + i);
-                        slot.value.get().write(MaybeUninit::new(*v));
-                        slot.state.fetch_or(WRITE, Ordering::Release);
-                    }
-                    return n;
-                },
+                    return (block, offset, n);
+                }
                 Err(t) => {
                     tail = t;
                     block = self.tail.block.load(Ordering::Acquire);
@@ -376,6 +392,15 @@ impl<T: Copy> Injector<T> {
         }
     }
 
+    /// [`Injector::len`] from one relaxed read of each index, never
+    /// retried: exact when quiescent, approximate under concurrency.
+    /// Sized for a bounded wrapper's per-push capacity check.
+    pub(crate) fn len_hint(&self) -> usize {
+        let head = self.head.index.load(Ordering::Relaxed);
+        let tail = self.tail.index.load(Ordering::Relaxed);
+        values_between(head, tail)
+    }
+
     /// True if the queue is observed empty (racy; callers re-check via the
     /// notifier's two-phase wait protocol before sleeping).
     pub fn is_empty(&self) -> bool {
@@ -387,44 +412,53 @@ impl<T: Copy> Injector<T> {
     /// Number of values in the queue (consistent snapshot; diagnostic).
     pub fn len(&self) -> usize {
         loop {
-            let mut tail = self.tail.index.load(Ordering::SeqCst);
-            let mut head = self.head.index.load(Ordering::SeqCst);
+            let tail = self.tail.index.load(Ordering::SeqCst);
+            let head = self.head.index.load(Ordering::SeqCst);
             // Retry if the tail moved while reading the head.
             if self.tail.index.load(Ordering::SeqCst) == tail {
-                tail &= !((1 << SHIFT) - 1);
-                head &= !((1 << SHIFT) - 1);
-                // Indices at the block-full sentinel belong to the next lap.
-                if (tail >> SHIFT) & (LAP - 1) == LAP - 1 {
-                    tail = tail.wrapping_add(1 << SHIFT);
-                }
-                if (head >> SHIFT) & (LAP - 1) == LAP - 1 {
-                    head = head.wrapping_add(1 << SHIFT);
-                }
-                let lap = (head >> SHIFT) / LAP;
-                tail = tail.wrapping_sub((lap * LAP) << SHIFT);
-                head = head.wrapping_sub((lap * LAP) << SHIFT);
-                let tail = tail >> SHIFT;
-                let head = head >> SHIFT;
-                // One position per lap is the sentinel, not a value.
-                return tail - head - tail / LAP;
+                return values_between(head, tail);
             }
         }
     }
 }
 
-impl<T: Copy> Drop for Injector<T> {
+/// Values queued between a head and a tail index. One position per lap is
+/// the block-full sentinel, not a value, so each lap boundary between the
+/// two indices is subtracted once.
+fn values_between(head: usize, tail: usize) -> usize {
+    let (head, tail) = (head >> SHIFT, tail >> SHIFT);
+    let sentinels = (tail / LAP).saturating_sub(head / LAP);
+    tail.saturating_sub(head).saturating_sub(sentinels)
+}
+
+impl<T> Drop for Injector<T> {
     fn drop(&mut self) {
-        // Exclusive access: free the remaining block chain. Values are
-        // `Copy`, so only the block boxes need reclaiming.
+        // Exclusive access: drop the values still queued between head and
+        // tail, freeing each block as the walk leaves it.
+        let mut head = *self.head.index.get_mut() & !HAS_NEXT;
+        let tail = *self.tail.index.get_mut() & !HAS_NEXT;
         let mut block = *self.head.block.get_mut();
-        while !block.is_null() {
-            // SAFETY: `&mut self` means no concurrent access; every block
-            // reachable from head is a live `Box::into_raw` allocation not
-            // yet reclaimed by the destroy hand-off.
-            let next = unsafe { (*block).next.load(Ordering::Relaxed) };
-            // SAFETY: as above; each block in the chain is freed once.
-            drop(unsafe { Box::from_raw(block) });
-            block = next;
+        // SAFETY: `&mut self` means no concurrent access. Every position in
+        // head..tail was claimed and written by a finished producer and
+        // never claimed by a consumer, so each value is dropped once; every
+        // block from the head block on is a live `Box::into_raw` allocation
+        // not yet reclaimed by the destroy hand-off, freed once here.
+        unsafe {
+            while head != tail {
+                let offset = (head >> SHIFT) % LAP;
+                if offset < BLOCK_CAP {
+                    let slot = (*block).slots.get_unchecked(offset);
+                    (*slot.value.get()).assume_init_drop();
+                } else {
+                    let next = *(*block).next.get_mut();
+                    drop(Box::from_raw(block));
+                    block = next;
+                }
+                head = head.wrapping_add(1 << SHIFT);
+            }
+            if !block.is_null() {
+                drop(Box::from_raw(block));
+            }
         }
     }
 }
@@ -589,5 +623,21 @@ mod tests {
             q.pop().unwrap();
         }
         drop(q); // must not leak or double-free (validated under the test allocator)
+    }
+
+    #[test]
+    fn owned_values_are_dropped_exactly_once() {
+        let v = Arc::new(());
+        let q = Injector::new();
+        for _ in 0..(3 * BLOCK_CAP + 4) {
+            q.push(Arc::clone(&v));
+        }
+        // Pop across one block boundary, leaving a partly read head block.
+        for _ in 0..(BLOCK_CAP + 2) {
+            drop(q.pop().unwrap());
+        }
+        assert_eq!(Arc::strong_count(&v), 1 + 2 * BLOCK_CAP + 2);
+        drop(q);
+        assert_eq!(Arc::strong_count(&v), 1);
     }
 }

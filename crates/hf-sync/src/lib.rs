@@ -18,9 +18,10 @@
 //!   batch push/pop, serving as the executor's shared task inbox.
 //! * [`counter`] — a cache-padded sharded counter for low-contention
 //!   statistics (steal counts, wakeups) gathered by the executor.
-//! * [`ring`] — a bounded lock-free MPMC event ring that drops (and
-//!   counts) instead of blocking, backing the telemetry span buffers of
-//!   workers and device engines.
+//! * [`ring`] — the injector behind a capacity check: a bounded event
+//!   queue that drops (and counts) instead of blocking, backing the
+//!   telemetry buffers of workers, device engines and the flight
+//!   recorder.
 //! * [`pad`] — cache-line padding ([`CachePadded`]) backing the counter
 //!   shards and queue indices.
 

@@ -1,78 +1,55 @@
-//! Bounded lock-free event ring for telemetry producers.
+//! Bounded lock-free event queue for telemetry producers.
 //!
-//! Telemetry recording must never block a worker or a device engine: a
-//! span is pushed with a couple of atomic operations, and when the buffer
-//! is full the event is *dropped* (counted) rather than stalling the hot
-//! path. The queue is the classic Vyukov bounded MPMC design — every slot
-//! carries a sequence number, so any number of producers (workers, device
-//! engines, submission threads) and consumers (the trace collector's
-//! drain) can operate without locks.
+//! Telemetry recording must never block a worker or a device engine: an
+//! event is pushed with a few atomic operations, and when the buffer is
+//! full the event is *dropped* (counted) rather than stalling the hot
+//! path. The queue is the scheduler's segmented [`Injector`] behind a
+//! capacity check, so any number of producers (workers, device engines,
+//! submission threads) and consumers (the recorder's or collector's
+//! drain) operate without locks, and event memory follows the backlog:
+//! 31-slot blocks are allocated as producers need them and freed as the
+//! drain empties them.
 
-use crate::pad::CachePadded;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::atomic::{AtomicU64, Ordering};
+use crate::injector::Injector;
 
-struct Slot<T> {
-    /// Sequence state: `pos` = empty and writable by the producer that
-    /// claims `pos`; `pos + 1` = full and readable by the consumer that
-    /// claims `pos`; `pos + cap` = consumed, writable one lap later.
-    seq: AtomicU64,
-    val: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// A bounded lock-free MPMC ring that drops (and counts) events instead
+/// A bounded lock-free MPMC queue that drops (and counts) events instead
 /// of blocking when full.
+///
+/// The capacity check reads the queue's head and tail indices before the
+/// push claims a slot, so `k` producers racing past the check together can
+/// overfill the queue by at most `k - 1` events: the bound holds up to the
+/// number of concurrent producers.
 pub struct EventRing<T> {
-    slots: Box<[Slot<T>]>,
-    mask: u64,
-    head: CachePadded<AtomicU64>,
-    tail: CachePadded<AtomicU64>,
+    queue: Injector<T>,
+    capacity: usize,
     dropped: AtomicU64,
 }
 
-// SAFETY: values are transferred between threads through the slots with
-// acquire/release sequence handshakes; `T: Send` is all that's required.
-unsafe impl<T: Send> Send for EventRing<T> {}
-// SAFETY: as above — each slot position is claimed by exactly one producer
-// and one consumer per lap.
-unsafe impl<T: Send> Sync for EventRing<T> {}
-
 impl<T> EventRing<T> {
-    /// Creates a ring holding at least `capacity` events (rounded up to a
-    /// power of two, minimum 2).
+    /// Creates a queue holding at least `capacity` events (rounded up to a
+    /// power of two, minimum 2). No event memory is allocated up front.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i as u64),
-                val: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
         Self {
-            slots,
-            mask: (cap - 1) as u64,
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
+            queue: Injector::new(),
+            capacity: capacity.max(2).next_power_of_two(),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Slot count.
+    /// Maximum number of buffered events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Events discarded because the ring was full.
+    /// Events discarded because the queue was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Approximate number of buffered events.
     pub fn len(&self) -> usize {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
-        head.saturating_sub(tail) as usize
+        self.queue.len_hint()
     }
 
     /// True when no events are buffered (approximate under concurrency).
@@ -81,102 +58,31 @@ impl<T> EventRing<T> {
     }
 
     /// Pushes an event; returns `false` (incrementing the drop counter)
-    /// when the ring is full. Lock-free and non-blocking.
+    /// when the queue is full. Lock-free and non-blocking.
     pub fn push(&self, value: T) -> bool {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                // Empty slot at our position: claim it.
-                match self.head.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gives this thread exclusive
-                        // write access until the release store below.
-                        unsafe { (*slot.val.get()).write(value) };
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return true;
-                    }
-                    Err(now) => pos = now,
-                }
-            } else if seq < pos {
-                // A full lap behind: the ring is full.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.head.load(Ordering::Relaxed);
-            }
+        if self.queue.len_hint() >= self.capacity {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        self.queue.push(value);
+        true
     }
 
     /// Pops the oldest event, if any. Lock-free and non-blocking.
     pub fn pop(&self) -> Option<T> {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos + 1 {
-                // Full slot at our position: claim it.
-                match self.tail.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gives this thread exclusive
-                        // read access until the release store below.
-                        let value = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos + self.slots.len() as u64, Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(now) => pos = now,
-                }
-            } else if seq <= pos {
-                // Empty (or a producer mid-write at an older position).
-                return None;
-            } else {
-                pos = self.tail.load(Ordering::Relaxed);
-            }
-        }
+        self.queue.pop()
     }
 
-    /// Drains every currently-buffered event into `f`.
+    /// Drains every currently-buffered event into `f`, one block-range
+    /// claim at a time.
     pub fn drain(&self, mut f: impl FnMut(T)) -> usize {
         let mut n = 0;
-        while let Some(v) = self.pop() {
-            f(v);
-            n += 1;
+        loop {
+            match self.queue.pop_batch(usize::MAX, &mut f) {
+                0 => return n,
+                k => n += k,
+            }
         }
-        n
-    }
-}
-
-impl<T> Drop for EventRing<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-/// Per-lane counter used by consumers to report ring pressure.
-#[derive(Debug, Default)]
-pub struct DropCount(AtomicUsize);
-
-impl DropCount {
-    /// Adds to the counter.
-    pub fn add(&self, n: usize) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -211,6 +117,26 @@ mod tests {
         // Draining frees capacity again.
         assert_eq!(r.pop(), Some(0));
         assert!(r.push(4));
+    }
+
+    #[test]
+    fn bound_holds_across_block_boundaries() {
+        // 64 events span three 31-slot blocks; the sentinel positions
+        // between blocks must not count as events.
+        let r = EventRing::new(64);
+        for i in 0..64u64 {
+            assert!(r.push(i));
+            assert_eq!(r.len(), i as usize + 1);
+        }
+        assert!(!r.push(64));
+        for i in 0..40u64 {
+            assert_eq!(r.pop(), Some(i));
+        }
+        assert_eq!(r.len(), 24);
+        let mut rest = Vec::new();
+        assert_eq!(r.drain(|v| rest.push(v)), 24);
+        assert_eq!(rest, (40..64).collect::<Vec<_>>());
+        assert_eq!(r.dropped(), 1);
     }
 
     #[test]
@@ -270,9 +196,13 @@ mod tests {
     fn drop_releases_buffered_values() {
         let v = Arc::new(());
         {
-            let r = EventRing::new(8);
-            for _ in 0..5 {
+            let r = EventRing::new(128);
+            for _ in 0..40 {
                 r.push(Arc::clone(&v));
+            }
+            // Leave a partly read head block behind.
+            for _ in 0..5 {
+                r.pop();
             }
         }
         assert_eq!(Arc::strong_count(&v), 1);

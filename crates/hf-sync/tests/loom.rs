@@ -140,3 +140,30 @@ fn injector_batch_push_vs_pop_preserves_fifo() {
         assert_eq!(got, vec![1, 2, 3], "batch claim is FIFO and exactly-once");
     });
 }
+
+/// Two producers push owned `Arc` payloads while a consumer pops one, then
+/// the queue is dropped: each payload is dropped exactly once, whether it
+/// was popped or left behind, so every strong count ends at 1. A warm-up
+/// push/pop installs the first block, leaving that race to
+/// `injector_concurrent_pushes_pop_exactly_once`.
+#[test]
+fn injector_drops_owned_payloads_exactly_once() {
+    loom::model(|| {
+        let a = Arc::new(1u64);
+        let b = Arc::new(2u64);
+        let q = Arc::new(Injector::new());
+        q.push(Arc::new(0u64));
+        drop(q.pop());
+        let (q1, q2) = (Arc::clone(&q), Arc::clone(&q));
+        let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
+        let p1 = loom::thread::spawn(move || q1.push(a1));
+        let p2 = loom::thread::spawn(move || q2.push(b1));
+        let popped = q.pop();
+        p1.join().unwrap();
+        p2.join().unwrap();
+        drop(popped);
+        drop(Arc::try_unwrap(q).ok().expect("producers joined"));
+        assert_eq!(Arc::strong_count(&a), 1, "payload 1 dropped exactly once");
+        assert_eq!(Arc::strong_count(&b), 1, "payload 2 dropped exactly once");
+    });
+}

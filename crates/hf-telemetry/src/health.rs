@@ -326,13 +326,20 @@ impl FlightRecorder {
     /// of events applied. Cheap when idle; call from a monitor thread,
     /// on scrape, or after `wait()`.
     pub fn pump(&self) -> usize {
+        // Drain under the state lock so concurrent pumps (a watchdog and a
+        // caller) fold whole batches in turn: when `pump` returns, every
+        // event pushed before it began has been folded and dumped.
+        let mut st = self.state.lock();
         let mut drained = Vec::new();
         self.ring.drain(|ev| drained.push(ev));
         if drained.is_empty() {
             return 0;
         }
+        // Threads stamp `t_ns` before they push, so the queue can deliver
+        // near-simultaneous events out of timestamp order. Fold them in
+        // stamp order so a `Finished` never precedes its `Started`.
+        drained.sort_by_key(|ev| ev.t_ns);
         let n = drained.len();
-        let mut st = self.state.lock();
         let mut failed_runs = Vec::new();
         for ev in drained {
             let graph = Arc::clone(&ev.graph);
@@ -446,9 +453,15 @@ impl FlightRecorder {
                 }
                 // Keep the verbatim event (bounded per run) — terminal
                 // RunEnd included, so a pumped black box always carries
-                // the run's outcome.
+                // the run's outcome. Insert by `t_ns`, searching from the
+                // back, in case an inversion straddles two pumps.
                 if run.events.len() < cap {
-                    run.events.push(ev);
+                    let at = run
+                        .events
+                        .iter()
+                        .rposition(|e| e.t_ns <= ev.t_ns)
+                        .map_or(0, |i| i + 1);
+                    run.events.insert(at, ev);
                 } else {
                     run.events_dropped += 1;
                 }
@@ -1368,6 +1381,36 @@ mod tests {
         assert_eq!(s.run_id, 1);
         assert_eq!(s.ok, Some(true));
         assert_eq!(s.tasks, 1);
+    }
+
+    #[test]
+    fn pump_folds_out_of_order_events_by_timestamp() {
+        let r = FlightRecorder::new();
+        // Pushed out of stamp order, as racing threads can deliver them.
+        r.on_lifecycle(&ev(1, LifecyclePhase::RunStart, None, 100));
+        r.on_lifecycle(&ev(1, LifecyclePhase::Finished, Some(0), 300));
+        r.on_lifecycle(&ev(1, LifecyclePhase::Ready, Some(0), 250));
+        r.on_lifecycle(&ev(1, LifecyclePhase::Started, Some(0), 270));
+        assert_eq!(r.pump(), 4);
+        // An inversion that straddles two pumps lands in place as well.
+        r.on_lifecycle(&ev(1, LifecyclePhase::Ready, Some(1), 280));
+        assert_eq!(r.pump(), 1);
+
+        let dump = r.dump_json();
+        let run = &dump.get("runs").and_then(|v| v.as_array()).unwrap()[0];
+        let stamps: Vec<u64> = run
+            .get("events")
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .iter()
+            .map(|e| e.get("t_ns").and_then(|t| t.as_u64()).unwrap())
+            .collect();
+        assert_eq!(stamps, vec![100, 250, 270, 280, 300]);
+        let (qd, ex, _) = r.latency_histograms();
+        assert_eq!(ex.count, 1, "Finished folded after its Started");
+        assert!((ex.sum - 30.0).abs() < 1e-9, "exec = finished - started");
+        assert_eq!(qd.count, 1);
+        assert!((qd.sum - 20.0).abs() < 1e-9, "queue delay = started - ready");
     }
 
     #[test]
