@@ -190,7 +190,7 @@ impl ExecInner {
             topo.tenant.as_ref(),
         );
         ev.task = Some(node as u32);
-        ev.name = Arc::from(nd.name.as_str());
+        ev.name = Arc::clone(&nd.name);
         ev.kind = Some(nd.work.kind());
         ev.device = topo.placement().device_of[node];
         ev.worker = worker;

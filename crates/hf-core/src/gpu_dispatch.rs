@@ -125,7 +125,7 @@ impl Worker {
             let label = tracing.then(|| {
                 let n = &topo.frozen.nodes[nid];
                 OpLabel {
-                    name: Arc::from(n.name.as_str()),
+                    name: Arc::clone(&n.name),
                     tag: crate::observer::kind_to_tag(n.work.kind()),
                     epoch: topo.epoch,
                 }
@@ -230,7 +230,7 @@ impl Chain {
     /// hands the error back for the op to return.
     fn fail_op(&self, node: usize, e: GpuError) -> GpuError {
         self.fail(HfError::TaskFailed {
-            task: self.topo.frozen.nodes[node].name.clone(),
+            task: self.topo.frozen.nodes[node].name.to_string(),
             source: e.clone(),
         });
         e
@@ -309,8 +309,8 @@ impl Chain {
                     .lock()
                     .ptr
                     .ok_or_else(|| HfError::PushBeforePull {
-                        push: node.name.clone(),
-                        pull: pull_node.name.clone(),
+                        push: node.name.to_string(),
+                        pull: pull_node.name.to_string(),
                     })?;
                 debug_assert_eq!(self.device.id(), ptr.device);
                 // Revalidation is only sound for an in-place round trip
@@ -330,8 +330,8 @@ impl Chain {
                 for &s in sources {
                     let p = self.topo.pull_state(s).lock().ptr.ok_or_else(|| {
                         HfError::SourceNotPulled {
-                            kernel: node.name.clone(),
-                            pull: frozen.nodes[s].name.clone(),
+                            kernel: node.name.to_string(),
+                            pull: frozen.nodes[s].name.to_string(),
                         }
                     })?;
                     debug_assert_eq!(
@@ -370,7 +370,7 @@ impl Chain {
                     }));
                     if res.is_err() {
                         chain.fail(HfError::TaskPanicked {
-                            task: chain.topo.frozen.nodes[id].name.clone(),
+                            task: chain.topo.frozen.nodes[id].name.to_string(),
                         });
                         return Ok(OpReport::default());
                     }
@@ -412,7 +412,7 @@ impl Chain {
         }
         st.resident_version = None;
         let p = self.device.alloc(bytes).map_err(|e| HfError::TaskFailed {
-            task: self.topo.frozen.nodes[id].name.clone(),
+            task: self.topo.frozen.nodes[id].name.to_string(),
             source: e,
         })?;
         st.ptr = Some(p);

@@ -200,7 +200,7 @@ pub struct FrozenGraph {
 }
 
 pub(crate) struct FrozenNode {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) work: Work,
     pub(crate) succ: Vec<usize>,
     pub(crate) num_deps: usize,
@@ -231,7 +231,7 @@ impl FrozenGraph {
     fn find_cycle(nodes: &[FrozenNode]) -> Option<Vec<String>> {
         let succ: Vec<&[usize]> = nodes.iter().map(|n| n.succ.as_slice()).collect();
         crate::analyze::cycle_path(&succ)
-            .map(|ids| ids.into_iter().map(|i| nodes[i].name.clone()).collect())
+            .map(|ids| ids.into_iter().map(|i| nodes[i].name.to_string()).collect())
     }
 }
 
@@ -514,12 +514,12 @@ impl Heteroflow {
         // state; taking it out also keeps the old snapshot's `Drop` from
         // freeing the transplanted buffer.
         let prev = self.shared.frozen.lock().clone();
-        let mut carry: std::collections::HashMap<(String, usize), usize> = Default::default();
+        let mut carry: std::collections::HashMap<(&str, usize), usize> = Default::default();
         if let Some(prev) = &prev {
             for (i, n) in prev.nodes.iter().enumerate() {
                 if let Work::Pull { source } = &n.work {
                     if let Some(sid) = source.source_id() {
-                        carry.insert((n.name.clone(), sid), i);
+                        carry.insert((&*n.name, sid), i);
                     }
                 }
             }
@@ -531,13 +531,13 @@ impl Heteroflow {
                 let pull_state = match (&n.work, &prev) {
                     (Work::Pull { source }, Some(prev)) => source
                         .source_id()
-                        .and_then(|sid| carry.remove(&(n.name.clone(), sid)))
+                        .and_then(|sid| carry.remove(&(n.name.as_str(), sid)))
                         .map(|old| std::mem::take(&mut *prev.nodes[old].pull_state.lock()))
                         .unwrap_or_default(),
                     _ => PullState::default(),
                 };
                 FrozenNode {
-                    name: n.name.clone(),
+                    name: Arc::from(n.name.as_str()),
                     work: n.work.clone_payload(),
                     succ: n.succ.clone(),
                     num_deps: n.pred.len(),

@@ -77,7 +77,7 @@ impl PlacementView for FrozenGraph {
     }
 
     fn name_of(&self, i: usize) -> String {
-        self.nodes[i].name.clone()
+        self.nodes[i].name.to_string()
     }
 
     fn weight_of(&self, i: usize, cost: &CostModel) -> f64 {

@@ -715,14 +715,14 @@ impl Worker {
         let node = &topo.frozen.nodes[id];
         match &node.work {
             Work::Empty => Err(HfError::EmptyTask {
-                task: node.name.clone(),
+                task: node.name.to_string(),
             }),
             Work::Host(f) => {
                 let f = Arc::clone(f);
                 let res =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || (f.lock())()));
                 res.map(|_| false).map_err(|_| HfError::TaskPanicked {
-                    task: node.name.clone(),
+                    task: node.name.to_string(),
                 })
             }
             Work::Pull { .. } | Work::Push { .. } | Work::Kernel { .. } => {

@@ -120,28 +120,60 @@ impl<'a> ArenaView<'a> {
         Ok(&mut self.mem[s..e])
     }
 
-    /// Immutable typed view.
-    pub fn slice<T: Plain>(&self, p: DevicePtr) -> Result<&[T], GpuError> {
-        let b = self.bytes(p)?;
-        if b.len() % std::mem::size_of::<T>() != 0 {
+    /// [`Self::check`] plus the element-size check of a typed view.
+    fn check_typed<T: Plain>(&self, p: DevicePtr) -> Result<(usize, usize), GpuError> {
+        let (s, e) = self.check(p)?;
+        if (e - s) % std::mem::size_of::<T>() != 0 {
             return Err(GpuError::TypeMismatch {
-                bytes: b.len(),
+                bytes: e - s,
                 elem: std::mem::size_of::<T>(),
             });
         }
-        Ok(plain::from_bytes(b))
+        Ok((s, e))
+    }
+
+    /// Immutable typed view.
+    pub fn slice<T: Plain>(&self, p: DevicePtr) -> Result<&[T], GpuError> {
+        let (s, e) = self.check_typed::<T>(p)?;
+        Ok(plain::from_bytes(&self.mem[s..e]))
     }
 
     /// Mutable typed view.
     pub fn slice_mut<T: Plain>(&mut self, p: DevicePtr) -> Result<&mut [T], GpuError> {
-        let b = self.bytes_mut(p)?;
-        if b.len() % std::mem::size_of::<T>() != 0 {
-            return Err(GpuError::TypeMismatch {
-                bytes: b.len(),
-                elem: std::mem::size_of::<T>(),
-            });
+        let (s, e) = self.check_typed::<T>(p)?;
+        Ok(plain::from_bytes_mut(&mut self.mem[s..e]))
+    }
+
+    /// Shared typed views of `reads` plus one mutable typed view of
+    /// `write` — the shape of a kernel that reads its inputs in place and
+    /// updates one output array. Reads may alias each other; the write
+    /// must overlap none of them (`SizeMismatch` otherwise).
+    pub fn split<R: Plain, W: Plain, const N: usize>(
+        &mut self,
+        reads: [DevicePtr; N],
+        write: DevicePtr,
+    ) -> Result<([&[R]; N], &mut [W]), GpuError> {
+        let (ws, we) = self.check_typed::<W>(write)?;
+        let mut ranges = [(0, 0); N];
+        for (range, p) in ranges.iter_mut().zip(reads) {
+            let (s, e) = self.check_typed::<R>(p)?;
+            if s < we && ws < e {
+                return Err(GpuError::SizeMismatch { dst: we - ws, src: e - s });
+            }
+            *range = (s, e);
         }
-        Ok(plain::from_bytes_mut(b))
+        // SAFETY: every range is in bounds (checked above) and the write
+        // range is disjoint from every read range, so the one `&mut`
+        // aliases no shared view; reads may overlap one another because
+        // they are all shared. All views derive from the single
+        // `&mut self`, which the returned lifetimes keep borrowed.
+        unsafe {
+            let base = self.mem.as_mut_ptr();
+            let views = ranges
+                .map(|(s, e)| plain::from_bytes(std::slice::from_raw_parts(base.add(s), e - s)));
+            let w = std::slice::from_raw_parts_mut(base.add(ws), we - ws);
+            Ok((views, plain::from_bytes_mut(w)))
+        }
     }
 
     /// Two disjoint mutable typed views — the common kernel shape
@@ -301,6 +333,36 @@ mod tests {
         assert!(v
             .slice3_mut::<u8, u8, u8>(ptr(0, 16), ptr(32, 8), ptr(48, 16))
             .is_ok());
+    }
+
+    #[test]
+    fn split_reads_alias_write_must_be_disjoint() {
+        let mut a = Arena::new(0, 256);
+        let mut v = a.view();
+        v.slice_mut::<u32>(ptr(0, 16)).unwrap().copy_from_slice(&[1, 2, 3, 4]);
+        // Two reads of the same buffer alias; the write sits elsewhere.
+        let ([x, y], w) = v.split::<u32, u32, 2>([ptr(0, 16), ptr(0, 16)], ptr(64, 8)).unwrap();
+        w[0] = x[1] + y[2];
+        assert_eq!(v.slice::<u32>(ptr(64, 8)).unwrap(), &[5, 0]);
+        // A write overlapping any read is rejected.
+        assert!(matches!(
+            v.split::<u32, u32, 2>([ptr(64, 8), ptr(0, 16)], ptr(8, 16)),
+            Err(GpuError::SizeMismatch { .. })
+        ));
+        // Element-size and bounds checks hold for reads and the write.
+        assert!(matches!(
+            v.split::<u32, u8, 1>([ptr(0, 6)], ptr(64, 8)),
+            Err(GpuError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            v.split::<u8, u64, 1>([ptr(0, 6)], ptr(64, 12)),
+            Err(GpuError::TypeMismatch { .. })
+        ));
+        assert!(v.split::<u8, u8, 1>([ptr(250, 16)], ptr(64, 8)).is_err());
+        assert!(matches!(
+            v.split::<u8, u8, 0>([], DevicePtr { device: 1, ..ptr(0, 8) }),
+            Err(GpuError::WrongDevice { .. })
+        ));
     }
 
     #[test]

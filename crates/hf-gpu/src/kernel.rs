@@ -139,6 +139,18 @@ impl<'a, 'v> KernelArgs<'a, 'v> {
         self.view.slice3_mut(self.ptrs[i], self.ptrs[j], self.ptrs[k])
     }
 
+    /// Shared typed views of the `reads` arguments (which may alias each
+    /// other) and one mutable typed view of the `write` argument, which
+    /// must be disjoint from every read. Kernels that only update one
+    /// array read their other inputs in place through this.
+    pub fn split<R: Plain, W: Plain, const N: usize>(
+        &mut self,
+        reads: [usize; N],
+        write: usize,
+    ) -> Result<([&[R]; N], &mut [W]), GpuError> {
+        self.view.split(reads.map(|i| self.ptrs[i]), self.ptrs[write])
+    }
+
     /// Direct access to the underlying arena view (for kernels that manage
     /// scratch allocations themselves).
     pub fn view_mut(&mut self) -> &mut ArenaView<'v> {
@@ -196,5 +208,36 @@ mod tests {
             }
         }
         assert_eq!(args.slice::<i32>(1).unwrap(), &[4, 4, 4, 4]);
+    }
+
+    #[test]
+    fn split_reads_in_place_and_guards_the_write() {
+        let mut arena = Arena::new(0, 1024);
+        let p = |offset, len| DevicePtr { device: 0, offset, len, capacity: len };
+        let (src, dst, bad) = (p(0, 16), p(16, 16), p(32, 6));
+        arena.view().slice_mut::<u32>(src).unwrap().copy_from_slice(&[1, 2, 3, 4]);
+        let mut view = arena.view();
+        let ptrs = [src, dst, bad];
+        let mut args = KernelArgs::new(&mut view, &ptrs);
+        // Argument 0 bound twice: aliased reads are allowed.
+        let ([a, b], out) = args.split::<u32, u32, 2>([0, 0], 1).unwrap();
+        for i in 0..4 {
+            out[i] = a[i] * b[i];
+        }
+        assert_eq!(args.slice::<u32>(1).unwrap(), &[1, 4, 9, 16]);
+        // Writing an argument that is also read is rejected.
+        assert!(matches!(
+            args.split::<u32, u32, 2>([0, 1], 1),
+            Err(GpuError::SizeMismatch { .. })
+        ));
+        // A 6-byte argument is neither a u32 read nor a u32 write.
+        assert!(matches!(
+            args.split::<u32, u32, 1>([2], 1),
+            Err(GpuError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            args.split::<u32, u32, 1>([0], 2),
+            Err(GpuError::TypeMismatch { .. })
+        ));
     }
 }

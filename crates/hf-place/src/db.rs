@@ -220,28 +220,87 @@ impl PlacementDb {
         Ok(())
     }
 
+    /// Matching costs of window `w`: entry `[i][j]` equals
+    /// `cell_cost_at(w[i], x, y)` with `(x, y)` the current site of
+    /// `w[j]`. Each cell's incident nets are boxed over their *other*
+    /// pins once, so a slot costs one box extension per net instead of a
+    /// walk over every pin.
+    pub fn window_costs(&self, w: &[u32]) -> Vec<Vec<u64>> {
+        let mut boxes = Vec::new();
+        w.iter()
+            .map(|&cell| {
+                boxes.clear();
+                boxes.extend(self.nets_of[cell as usize].iter().map(|&ni| {
+                    let (mut x0, mut x1, mut y0, mut y1) = (u32::MAX, 0u32, u32::MAX, 0u32);
+                    for &p in &self.nets[ni as usize].pins {
+                        if p != cell {
+                            let c = &self.cells[p as usize];
+                            (x0, x1) = (x0.min(c.x), x1.max(c.x));
+                            (y0, y1) = (y0.min(c.y), y1.max(c.y));
+                        }
+                    }
+                    (x0, x1, y0, y1)
+                }));
+                w.iter()
+                    .map(|&slot| {
+                        let Cell { x, y, .. } = self.cells[slot as usize];
+                        boxes
+                            .iter()
+                            .map(|&(x0, x1, y0, y1)| {
+                                (x1.max(x) - x0.min(x)) as u64 + (y1.max(y) - y0.min(y)) as u64
+                            })
+                            .sum()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Two cells *conflict* (cannot move in the same independent set)
-    /// when they share a net.
+    /// when they share a net. Returns the conflict graph in CSR form with
+    /// each row sorted and free of repeats.
     pub fn conflict_adjacency(&self) -> (Vec<u32>, Vec<u32>) {
-        // CSR over cells; neighbors = cells sharing any net.
         let n = self.num_cells();
-        let mut sets: Vec<std::collections::BTreeSet<u32>> =
-            vec![std::collections::BTreeSet::new(); n];
+        // Scatter every pin pair into both endpoints' rows (repeats
+        // included), then sort, dedup and compact each row in place.
+        let mut start = vec![0u32; n + 1];
+        for net in &self.nets {
+            for &a in &net.pins {
+                start[a as usize + 1] += net.pins.len() as u32 - 1;
+            }
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut neighbors = vec![0u32; start[n] as usize];
+        let mut put = |row: u32, v: u32| {
+            neighbors[fill[row as usize] as usize] = v;
+            fill[row as usize] += 1;
+        };
         for net in &self.nets {
             for (i, &a) in net.pins.iter().enumerate() {
                 for &b in &net.pins[i + 1..] {
-                    sets[a as usize].insert(b);
-                    sets[b as usize].insert(a);
+                    put(a, b);
+                    put(b, a);
                 }
             }
         }
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
         offsets.push(0u32);
-        for s in &sets {
-            neighbors.extend(s.iter().copied());
-            offsets.push(neighbors.len() as u32);
+        let mut len = 0;
+        for v in 0..n {
+            let (s, e) = (start[v] as usize, start[v + 1] as usize);
+            neighbors[s..e].sort_unstable();
+            for i in s..e {
+                if i == s || neighbors[i] != neighbors[len - 1] {
+                    neighbors[len] = neighbors[i];
+                    len += 1;
+                }
+            }
+            offsets.push(len as u32);
         }
+        neighbors.truncate(len);
         (offsets, neighbors)
     }
 }

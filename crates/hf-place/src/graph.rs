@@ -146,14 +146,15 @@ pub fn build_placement_graph(
         let push_st = g.push(&format!("push_st[{it}]"), &pull_st, &h_st);
         push_st.succeed(prev_kernel.as_ref().expect("rounds >= 1"));
 
-        // 5) CPU (sequential): partition into windows.
-        let windows: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(Vec::new()));
+        // 5) CPU (sequential): partition into windows, shared read-only
+        // with the matchers.
+        let windows: Arc<Mutex<Arc<Vec<Vec<u32>>>>> = Arc::default();
         let partition = g.host(&format!("partition[{it}]"), {
             let (db, h_st, windows) = (Arc::clone(&db), h_st.clone(), Arc::clone(&windows));
             let cap = cfg.window_cap;
             move || {
-                let states = h_st.to_vec();
-                *windows.lock() = partition_windows(&db.read(), &states, cap);
+                let parts = partition_windows(&db.read(), &h_st.read(), cap);
+                *windows.lock() = Arc::new(parts);
             }
         });
         push_st.precede(&partition);
@@ -171,28 +172,15 @@ pub fn build_placement_graph(
                 );
                 let stride = cfg.matchers.max(1);
                 move || {
-                    let windows = windows.lock().clone();
+                    let windows = Arc::clone(&windows.lock());
                     let db = db.read();
                     let mut local_moves = Vec::new();
                     for w in windows.iter().skip(m).step_by(stride) {
                         // Slots are the window cells' own current sites.
-                        let slots: Vec<(u32, u32)> = w
-                            .iter()
-                            .map(|&c| (db.cells[c as usize].x, db.cells[c as usize].y))
-                            .collect();
-                        let cost: Vec<Vec<u64>> = w
-                            .iter()
-                            .map(|&c| {
-                                slots
-                                    .iter()
-                                    .map(|&(x, y)| db.cell_cost_at(c, x, y))
-                                    .collect()
-                            })
-                            .collect();
-                        let (assignment, _) = hungarian(&cost);
-                        for (ci, &cell) in w.iter().enumerate() {
-                            let (x, y) = slots[assignment[ci]];
-                            local_moves.push((cell, x, y));
+                        let (assignment, _) = hungarian(&db.window_costs(w));
+                        for (&cell, &slot) in w.iter().zip(&assignment) {
+                            let site = &db.cells[w[slot] as usize];
+                            local_moves.push((cell, site.x, site.y));
                         }
                     }
                     moves.lock().extend(local_moves);

@@ -6,8 +6,8 @@
 //! kernels over CSR adjacency:
 //! 1. **select** — an undecided cell enters the set if its priority beats
 //!    every undecided neighbor's (ties by id);
-//! 2. **commit** — winners become IN; their undecided neighbors become
-//!    OUT.
+//! 2. **commit** — winners become IN and knock their undecided
+//!    neighbors OUT, in one pass.
 //!
 //! With random priorities the number of rounds is O(log n) w.h.p.
 
@@ -25,19 +25,14 @@ pub const TENTATIVE: u32 = 3;
 /// Phase 1 kernel: mark local priority minima as TENTATIVE.
 ///
 /// Device args: 0 = CSR offsets (u32, n+1), 1 = CSR neighbors (u32),
-/// 2 = priorities (u32, n), 3 = states (u32, n).
+/// 2 = priorities (u32, n), 3 = states (u32, n). Args 0-2 are read in
+/// place; only the states are written.
 pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync {
     |cfg, args| {
-        let n = args.ptr(2).len_as::<u32>();
-        let (offsets, neighbors, rest) = {
-            let (o, nb, pr) = args
-                .slice3_mut::<u32, u32, u32>(0, 1, 2)
-                .expect("disjoint CSR/priority buffers");
-            // Reborrow as immutable: phase 1 only writes states.
-            (o.to_vec(), nb.to_vec(), pr.to_vec())
-        };
-        let priorities = rest;
-        let states = args.slice_mut::<u32>(3).expect("state buffer");
+        let ([offsets, neighbors, priorities], states) = args
+            .split::<u32, u32, 3>([0, 1, 2], 3)
+            .expect("CSR and priority buffers disjoint from the states");
+        let n = priorities.len();
         for v in cfg.threads() {
             if v >= n || states[v] != UNDECIDED {
                 continue;
@@ -62,30 +57,28 @@ pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send
     }
 }
 
-/// Phase 2 kernel: TENTATIVE → IN_SET; undecided neighbors of IN_SET →
-/// OUT. Device args: 0 = offsets, 1 = neighbors, 3 = states (2 = priorities
-/// unused but kept for a uniform signature).
+/// Phase 2 kernel, one pass: each TENTATIVE cell becomes IN_SET and
+/// knocks out its UNDECIDED neighbors. Device args as for
+/// [`select_kernel`] (2 = priorities unused but kept for a uniform
+/// signature).
+///
+/// This reaches the same states as promoting every winner first and then
+/// knocking out the neighbors of every IN_SET cell: two TENTATIVE cells
+/// are never adjacent (priorities are strict, ties broken by id), so no
+/// knock-out hits a winner of this round; and a cell that joined the set
+/// in an earlier round already knocked out its neighbors then, and states
+/// never return to UNDECIDED.
 pub fn commit_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync {
     |cfg, args| {
-        let n = args.ptr(3).len_as::<u32>();
-        let (offsets, neighbors) = {
-            let (o, nb) = args
-                .slice2_mut::<u32, u32>(0, 1)
-                .expect("disjoint CSR buffers");
-            (o.to_vec(), nb.to_vec())
-        };
-        let states = args.slice_mut::<u32>(3).expect("state buffer");
-        // Promote winners.
+        let ([offsets, neighbors], states) = args
+            .split::<u32, u32, 2>([0, 1], 3)
+            .expect("CSR buffers disjoint from the states");
+        let n = states.len();
         for v in cfg.threads() {
-            if v < n && states[v] == TENTATIVE {
-                states[v] = IN_SET;
-            }
-        }
-        // Knock out neighbors.
-        for v in cfg.threads() {
-            if v >= n || states[v] != IN_SET {
+            if v >= n || states[v] != TENTATIVE {
                 continue;
             }
+            states[v] = IN_SET;
             let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
             for &u in &neighbors[s..e] {
                 let u = u as usize;

@@ -51,15 +51,61 @@ const DEFAULT_KEEP_COMPLETED: usize = 16;
 /// EWMA smoothing for per-task execution-time estimates.
 const EWMA_ALPHA: f64 = 0.25;
 
-/// Per-task timing state inside one run's flight log.
+/// Events `pump` takes from the ring at a time. Each chunk is sorted by
+/// `t_ns` and folded in one reused buffer, so a long backlog never
+/// gathers in one allocation beside the ring.
+const PUMP_CHUNK: usize = 1024;
+
+/// Per-task timing state inside one run's flight log. Each stamp waits
+/// here until its partner arrives, so pairing does not depend on the
+/// order events are folded in: a `Finished` folded before its `Started`
+/// (across a chunk or pump boundary) is paired when the `Started` lands.
 #[derive(Debug, Default, Clone)]
 struct TaskTiming {
     name: Option<Arc<str>>,
+    /// `Ready` not yet paired with a begin.
     ready_ns: Option<u64>,
+    /// Begin (earliest `Started`/`Dispatched`) of the current execution.
     started_ns: Option<u64>,
+    /// Successful `Finished` not yet paired with its begin.
     finished_ns: Option<u64>,
     retries: u32,
     failures: u32,
+}
+
+impl TaskTiming {
+    /// Pairs what the stamps now allow: the begin with its `Ready`
+    /// (queue delay) and with its successful `Finished` (exec time).
+    /// Returns the `(queue, exec)` samples, in ns.
+    fn pair(&mut self) -> (Option<f64>, Option<f64>) {
+        let Some(s) = self.started_ns else {
+            return (None, None);
+        };
+        let queue = match self.ready_ns {
+            Some(r) if r <= s => {
+                self.ready_ns = None;
+                Some((s - r) as f64)
+            }
+            _ => None,
+        };
+        let exec = match self.finished_ns.take() {
+            Some(f) if f >= s => {
+                self.started_ns = None;
+                Some((f - s) as f64)
+            }
+            // A finish stamped before this begin belongs to an earlier
+            // execution whose begin was never seen.
+            _ => None,
+        };
+        (queue, exec)
+    }
+
+    /// Ends the current execution without a sample (failure, retry).
+    fn abandon(&mut self) {
+        self.ready_ns = None;
+        self.started_ns = None;
+        self.finished_ns = None;
+    }
 }
 
 /// One run's flight log: the bounded event list plus derived state.
@@ -201,6 +247,8 @@ impl TenantHists {
 /// Aggregated latency-attribution and EWMA state.
 struct FlightState {
     runs: Vec<RunFlight>,
+    /// `pump`'s reused chunk buffer (at most [`PUMP_CHUNK`] events).
+    chunk: Vec<LifecycleEvent>,
     ewma: HashMap<(Arc<str>, u32), f64>,
     queue_delay: Histogram,
     exec: Histogram,
@@ -218,6 +266,7 @@ impl FlightState {
     fn new() -> Self {
         Self {
             runs: Vec::new(),
+            chunk: Vec::new(),
             ewma: HashMap::new(),
             queue_delay: Histogram::new(duration_bounds_nanos()),
             exec: Histogram::new(duration_bounds_nanos()),
@@ -330,199 +379,194 @@ impl FlightRecorder {
         // caller) fold whole batches in turn: when `pump` returns, every
         // event pushed before it began has been folded and dumped.
         let mut st = self.state.lock();
-        let mut drained = Vec::new();
-        self.ring.drain(|ev| drained.push(ev));
-        if drained.is_empty() {
-            return 0;
-        }
-        // Threads stamp `t_ns` before they push, so the queue can deliver
-        // near-simultaneous events out of timestamp order. Fold them in
-        // stamp order so a `Finished` never precedes its `Started`.
-        drained.sort_by_key(|ev| ev.t_ns);
-        let n = drained.len();
+        let mut chunk = std::mem::take(&mut st.chunk);
         let mut failed_runs = Vec::new();
-        for ev in drained {
-            let graph = Arc::clone(&ev.graph);
-            let tenant = ev.tenant.clone();
-            // Derived observations, applied after the run borrow ends.
-            let mut queue_obs = None;
-            let mut exec_obs = None;
-            let mut run_obs = None;
-            let mut epoch_obs = None;
-            let mut ended = false;
-            {
-                let cap = self.per_run_cap;
-                let run = st.run_mut(&ev);
-                run.events_applied += 1;
-                if run.tenant.is_none() {
-                    if let Some(t) = &tenant {
-                        run.tenant = Some(Arc::clone(t));
-                    }
-                }
-                match ev.phase {
-                    LifecyclePhase::RunStart => {
-                        run.started_ns = ev.t_ns;
-                    }
-                    LifecyclePhase::Ready => {
-                        if let Some(t) = ev.task {
-                            let tt = run.tasks.entry(t).or_default();
-                            tt.name = Some(Arc::clone(&ev.name));
-                            tt.ready_ns = Some(ev.t_ns);
-                            tt.started_ns = None;
-                        }
-                    }
-                    LifecyclePhase::Started | LifecyclePhase::Dispatched => {
-                        if let Some(t) = ev.task {
-                            let tt = run.tasks.entry(t).or_default();
-                            tt.name = Some(Arc::clone(&ev.name));
-                            // A chain member gets Dispatched without its
-                            // own Started; keep the earliest begin time.
-                            if tt.started_ns.is_none() {
-                                tt.started_ns = Some(ev.t_ns);
-                            }
-                        }
-                    }
-                    LifecyclePhase::Finished => {
-                        if let Some(t) = ev.task {
-                            let tt = run.tasks.entry(t).or_default();
-                            tt.finished_ns = Some(ev.t_ns);
-                            let started = tt.started_ns.take();
-                            let ready = tt.ready_ns.take();
-                            if ev.ok {
-                                if let Some(s) = started {
-                                    exec_obs =
-                                        Some((t, ev.t_ns.saturating_sub(s) as f64));
-                                    if let Some(r) = ready {
-                                        queue_obs =
-                                            Some(s.saturating_sub(r) as f64);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    LifecyclePhase::Retried => {
-                        if let Some(t) = ev.task {
-                            let tt = run.tasks.entry(t).or_default();
-                            tt.retries += 1;
-                            tt.failures += 1;
-                            tt.started_ns = None;
-                            tt.ready_ns = None;
-                        }
-                    }
-                    LifecyclePhase::Failed => {
-                        if let Some(t) = ev.task {
-                            let tt = run.tasks.entry(t).or_default();
-                            tt.failures += 1;
-                            tt.started_ns = None;
-                            tt.ready_ns = None;
-                        }
-                    }
-                    LifecyclePhase::Failover => {
-                        run.failovers += 1;
-                    }
-                    LifecyclePhase::EpochStart => {
-                        if let Some(e) = ev.epoch {
-                            run.epoch_started.insert(e, ev.t_ns);
-                        }
-                    }
-                    LifecyclePhase::EpochEnd => {
-                        if let Some(e) = ev.epoch {
-                            run.epochs_completed += 1;
-                            if let Some(s) = run.epoch_started.remove(&e) {
-                                epoch_obs =
-                                    Some(ev.t_ns.saturating_sub(s) as f64);
-                            }
-                        }
-                    }
-                    LifecyclePhase::RunEnd => {
-                        run.ended_ns = Some(ev.t_ns);
-                        run.ok = Some(ev.ok);
-                        run.detail = ev.detail.clone();
-                        run_obs = Some((
-                            ev.t_ns.saturating_sub(run.started_ns) as f64,
-                            ev.ok,
-                        ));
-                        if !ev.ok {
-                            failed_runs.push(ev.run_id);
-                        }
-                        ended = true;
-                    }
-                    // `LifecyclePhase` is non_exhaustive: future phases
-                    // still land in the event log below.
-                    _ => {}
-                }
-                // Keep the verbatim event (bounded per run) — terminal
-                // RunEnd included, so a pumped black box always carries
-                // the run's outcome. Insert by `t_ns`, searching from the
-                // back, in case an inversion straddles two pumps.
-                if run.events.len() < cap {
-                    let at = run
-                        .events
-                        .iter()
-                        .rposition(|e| e.t_ns <= ev.t_ns)
-                        .map_or(0, |i| i + 1);
-                    run.events.insert(at, ev);
-                } else {
-                    run.events_dropped += 1;
+        let mut n = 0;
+        loop {
+            while chunk.len() < PUMP_CHUNK {
+                match self.ring.pop() {
+                    Some(ev) => chunk.push(ev),
+                    None => break,
                 }
             }
-            if let Some(q) = queue_obs {
-                st.queue_delay.observe(q);
-                if let Some(t) = &tenant {
-                    st.tenant_mut(t).queue_delay.observe(q);
-                }
+            if chunk.is_empty() {
+                break;
             }
-            if let Some((task, e)) = exec_obs {
-                st.exec.observe(e);
-                if let Some(t) = &tenant {
-                    st.tenant_mut(t).exec.observe(e);
-                }
-                let ewma = st.ewma.entry((graph, task)).or_insert(e);
-                *ewma = (1.0 - EWMA_ALPHA) * *ewma + EWMA_ALPHA * e;
-            }
-            if let Some((l, run_ok)) = run_obs {
-                st.run_latency.observe(l);
-                if let Some(t) = &tenant {
-                    let th = st.tenant_mut(t);
-                    th.run_latency.observe(l);
-                    th.runs += 1;
-                    if !run_ok {
-                        th.failed += 1;
-                    }
-                }
-            }
-            if let Some(l) = epoch_obs {
-                st.epoch_latency.observe(l);
-            }
-            if ended {
-                // Trim completed runs beyond the retention window
-                // (active runs are never evicted).
-                let completed =
-                    st.runs.iter().filter(|r| r.done()).count();
-                let mut excess = completed.saturating_sub(self.keep_completed);
-                while excess > 0 {
-                    if let Some(i) = st.runs.iter().position(|r| r.done()) {
-                        st.runs.remove(i);
-                    }
-                    excess -= 1;
-                }
+            // Threads stamp `t_ns` before they push, so the queue can
+            // deliver near-simultaneous events out of timestamp order.
+            // Fold each chunk in stamp order; task pairing tolerates the
+            // inversions that straddle chunks.
+            chunk.sort_by_key(|ev| ev.t_ns);
+            n += chunk.len();
+            for ev in chunk.drain(..) {
+                self.fold(&mut st, ev, &mut failed_runs);
             }
         }
+        st.chunk = chunk;
         // Auto-dump black boxes for runs that just failed/cancelled.
-        let dir = self.blackbox_dir.lock().clone();
-        if let Some(dir) = dir {
-            for run_id in failed_runs {
-                if let Some(v) = Self::run_json_locked(&st, run_id) {
-                    let path = dir.join(format!("blackbox_run{run_id}.json"));
-                    let _ = std::fs::create_dir_all(&dir);
-                    let _ = std::fs::write(
-                        &path,
-                        serde_json::to_string_pretty(&v).expect("infallible"),
-                    );
+        if !failed_runs.is_empty() {
+            if let Some(dir) = self.blackbox_dir.lock().clone() {
+                for run_id in failed_runs {
+                    if let Some(v) = Self::run_json_locked(&st, run_id) {
+                        let path = dir.join(format!("blackbox_run{run_id}.json"));
+                        let _ = std::fs::create_dir_all(&dir);
+                        let _ = std::fs::write(
+                            &path,
+                            serde_json::to_string_pretty(&v).expect("infallible"),
+                        );
+                    }
                 }
             }
         }
         n
+    }
+
+    /// Folds one event into its run's flight log and the aggregates;
+    /// records the run id in `failed_runs` when a failed run ends.
+    fn fold(&self, st: &mut FlightState, ev: LifecycleEvent, failed_runs: &mut Vec<u64>) {
+        let (graph, task) = (Arc::clone(&ev.graph), ev.task);
+        let tenant = ev.tenant.clone();
+        // Derived observations, applied after the run borrow ends.
+        let (mut queue_obs, mut exec_obs) = (None, None);
+        let mut run_obs = None;
+        let mut epoch_obs = None;
+        let mut ended = false;
+        {
+            let cap = self.per_run_cap;
+            let run = st.run_mut(&ev);
+            run.events_applied += 1;
+            if run.tenant.is_none() {
+                if let Some(t) = &tenant {
+                    run.tenant = Some(Arc::clone(t));
+                }
+            }
+            match (ev.phase, ev.task) {
+                (LifecyclePhase::RunStart, _) => {
+                    run.started_ns = ev.t_ns;
+                }
+                (LifecyclePhase::Ready, Some(t)) => {
+                    let tt = run.tasks.entry(t).or_default();
+                    tt.name = Some(Arc::clone(&ev.name));
+                    // A begin stamped before this Ready belongs to an
+                    // earlier execution that never finished.
+                    if tt.started_ns.is_some_and(|s| s < ev.t_ns) {
+                        tt.started_ns = None;
+                    }
+                    tt.ready_ns = Some(ev.t_ns);
+                    (queue_obs, exec_obs) = tt.pair();
+                }
+                (LifecyclePhase::Started | LifecyclePhase::Dispatched, Some(t)) => {
+                    let tt = run.tasks.entry(t).or_default();
+                    tt.name = Some(Arc::clone(&ev.name));
+                    // A chain member gets Dispatched without its own
+                    // Started; keep the earliest begin time.
+                    tt.started_ns = Some(tt.started_ns.map_or(ev.t_ns, |s| s.min(ev.t_ns)));
+                    (queue_obs, exec_obs) = tt.pair();
+                }
+                (LifecyclePhase::Finished, Some(t)) => {
+                    let tt = run.tasks.entry(t).or_default();
+                    if ev.ok {
+                        tt.finished_ns = Some(ev.t_ns);
+                        (queue_obs, exec_obs) = tt.pair();
+                    } else {
+                        tt.abandon();
+                    }
+                }
+                (LifecyclePhase::Retried, Some(t)) => {
+                    let tt = run.tasks.entry(t).or_default();
+                    tt.retries += 1;
+                    tt.failures += 1;
+                    tt.abandon();
+                }
+                (LifecyclePhase::Failed, Some(t)) => {
+                    let tt = run.tasks.entry(t).or_default();
+                    tt.failures += 1;
+                    tt.abandon();
+                }
+                (LifecyclePhase::Failover, _) => {
+                    run.failovers += 1;
+                }
+                (LifecyclePhase::EpochStart, _) => {
+                    if let Some(e) = ev.epoch {
+                        run.epoch_started.insert(e, ev.t_ns);
+                    }
+                }
+                (LifecyclePhase::EpochEnd, _) => {
+                    if let Some(e) = ev.epoch {
+                        run.epochs_completed += 1;
+                        if let Some(s) = run.epoch_started.remove(&e) {
+                            epoch_obs = Some(ev.t_ns.saturating_sub(s) as f64);
+                        }
+                    }
+                }
+                (LifecyclePhase::RunEnd, _) => {
+                    run.ended_ns = Some(ev.t_ns);
+                    run.ok = Some(ev.ok);
+                    run.detail = ev.detail.clone();
+                    run_obs = Some((ev.t_ns.saturating_sub(run.started_ns) as f64, ev.ok));
+                    if !ev.ok {
+                        failed_runs.push(ev.run_id);
+                    }
+                    ended = true;
+                }
+                // Task phases without a task id, and future phases
+                // (`LifecyclePhase` is non_exhaustive), still land in the
+                // event log below.
+                _ => {}
+            }
+            // Keep the verbatim event (bounded per run) — terminal
+            // RunEnd included, so a pumped black box always carries the
+            // run's outcome. Insert by `t_ns`, searching from the back, in
+            // case an inversion straddles two chunks or pumps.
+            if run.events.len() < cap {
+                let at = run
+                    .events
+                    .iter()
+                    .rposition(|e| e.t_ns <= ev.t_ns)
+                    .map_or(0, |i| i + 1);
+                run.events.insert(at, ev);
+            } else {
+                run.events_dropped += 1;
+            }
+        }
+        if let Some(q) = queue_obs {
+            st.queue_delay.observe(q);
+            if let Some(t) = &tenant {
+                st.tenant_mut(t).queue_delay.observe(q);
+            }
+        }
+        if let (Some(e), Some(task)) = (exec_obs, task) {
+            st.exec.observe(e);
+            if let Some(t) = &tenant {
+                st.tenant_mut(t).exec.observe(e);
+            }
+            let ewma = st.ewma.entry((graph, task)).or_insert(e);
+            *ewma = (1.0 - EWMA_ALPHA) * *ewma + EWMA_ALPHA * e;
+        }
+        if let Some((l, run_ok)) = run_obs {
+            st.run_latency.observe(l);
+            if let Some(t) = &tenant {
+                let th = st.tenant_mut(t);
+                th.run_latency.observe(l);
+                th.runs += 1;
+                if !run_ok {
+                    th.failed += 1;
+                }
+            }
+        }
+        if let Some(l) = epoch_obs {
+            st.epoch_latency.observe(l);
+        }
+        if ended {
+            // Trim completed runs beyond the retention window (active
+            // runs are never evicted).
+            let completed = st.runs.iter().filter(|r| r.done()).count();
+            for _ in self.keep_completed..completed {
+                if let Some(i) = st.runs.iter().position(|r| r.done()) {
+                    st.runs.remove(i);
+                }
+            }
+        }
     }
 
     /// Current progress of one run (after a pump), for monitors.
@@ -534,9 +578,6 @@ impl FlightRecorder {
             .iter()
             .filter_map(|(&t, tt)| {
                 let s = tt.started_ns?;
-                if tt.finished_ns.is_some() {
-                    return None;
-                }
                 Some((t, tt.name.clone().unwrap_or_else(|| Arc::from("")), s))
             })
             .collect();
@@ -1411,6 +1452,60 @@ mod tests {
         assert!((ex.sum - 30.0).abs() < 1e-9, "exec = finished - started");
         assert_eq!(qd.count, 1);
         assert!((qd.sum - 20.0).abs() < 1e-9, "queue delay = started - ready");
+    }
+
+    #[test]
+    fn pump_pairs_a_finished_folded_before_its_started() {
+        let r = FlightRecorder::new();
+        r.on_lifecycle(&ev(1, LifecyclePhase::RunStart, None, 100));
+        r.on_lifecycle(&ev(1, LifecyclePhase::Ready, Some(0), 200));
+        r.on_lifecycle(&ev(1, LifecyclePhase::Finished, Some(0), 400));
+        assert_eq!(r.pump(), 3);
+        assert_eq!(r.latency_histograms().1.count, 0, "no begin folded yet");
+        // The Started stamped before the Finished arrives one pump late.
+        r.on_lifecycle(&ev(1, LifecyclePhase::Started, Some(0), 250));
+        assert_eq!(r.pump(), 1);
+        let (qd, ex, _) = r.latency_histograms();
+        assert_eq!(ex.count, 1, "exec sample survives the pump boundary");
+        assert!((ex.sum - 150.0).abs() < 1e-9, "exec = finished - started");
+        assert_eq!(qd.count, 1);
+        assert!((qd.sum - 50.0).abs() < 1e-9, "queue delay = started - ready");
+        assert!(r.run_progress(1).unwrap().inflight.is_empty());
+    }
+
+    #[test]
+    fn pump_pairs_across_chunk_boundaries() {
+        let r = FlightRecorder::new();
+        r.on_lifecycle(&ev(1, LifecyclePhase::Finished, Some(0), 9_000));
+        // Enough other events that task 0's Started lands in a later chunk.
+        for t in 1..=PUMP_CHUNK as u32 + 10 {
+            r.on_lifecycle(&ev(1, LifecyclePhase::Ready, Some(t), 1_000 + t as u64));
+        }
+        r.on_lifecycle(&ev(1, LifecyclePhase::Started, Some(0), 5_000));
+        assert_eq!(r.pump(), PUMP_CHUNK + 12);
+        let (_, ex, _) = r.latency_histograms();
+        assert_eq!(ex.count, 1);
+        assert!((ex.sum - 4_000.0).abs() < 1e-9);
+        assert!(r.run_progress(1).unwrap().inflight.is_empty());
+    }
+
+    #[test]
+    fn rerun_task_is_in_flight_again() {
+        let r = FlightRecorder::new();
+        // Epoch 0 runs task 0 to completion; epoch 1 starts it again.
+        for (phase, t) in [
+            (LifecyclePhase::Ready, 100),
+            (LifecyclePhase::Started, 110),
+            (LifecyclePhase::Finished, 150),
+            (LifecyclePhase::Ready, 200),
+            (LifecyclePhase::Started, 210),
+        ] {
+            r.on_lifecycle(&ev(1, phase, Some(0), t));
+        }
+        r.pump();
+        let inflight = r.run_progress(1).unwrap().inflight;
+        assert_eq!(inflight.len(), 1);
+        assert_eq!((inflight[0].0, inflight[0].2), (0, 210));
     }
 
     #[test]
